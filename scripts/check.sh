@@ -25,7 +25,8 @@
 # under TSan, an ASan+UBSan build-and-test pass of the full suite, and
 # smokes of the parallel-engine, scheduler, server, and cluster
 # benches so regressions in the sharded, fused, served, and distributed
-# paths fail fast.
+# paths fail fast, and the perfbench smoke (every benchmark workload's
+# tables checked byte-for-byte against the S = 1 oracle).
 #
 # Usage: scripts/check.sh [build_dir]   (default: build; TSan uses
 #                                        <build_dir>-tsan)
@@ -268,5 +269,10 @@ echo "== smoke: measure-kernel bench =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_kernels >/dev/null
 "$BUILD_DIR/bench/bench_kernels" --smoke \
     --out "$BUILD_DIR/BENCH_kernels_smoke.json" >/dev/null
+
+echo "== smoke: perfbench (every workload's table vs the S = 1 oracle) =="
+# Real models over sharded streaming, the server and the sliced cluster:
+# each workload's tables must match the sequential oracle byte-for-byte.
+python3 perfbench/run.py --smoke
 
 echo "OK"

@@ -13,6 +13,7 @@
 #include <numeric>
 #include <utility>
 
+#include "core/block_pipeline.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -47,12 +48,6 @@ ClusterMetrics& Metrics() {
   }();
   return *metrics;
 }
-
-/// Mirror of the pipeline's shard-count clamp (block_pipeline.cc
-/// kMaxShards): the effective, clamped count keys the determinism
-/// contract, so the coordinator must pin the same value the worker
-/// pipeline would resolve.
-constexpr uint32_t kMaxShards = 64;
 
 Clock::duration Seconds(double s) {
   return std::chrono::duration_cast<Clock::duration>(
@@ -466,33 +461,14 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       plan.options.num_shards > 0
           ? static_cast<uint32_t>(plan.options.num_shards)
           : config_.total_shards;
-  total_shards = std::min(total_shards, kMaxShards);
+  total_shards = std::min<uint32_t>(total_shards, kMaxShards);
 
-  // Sliceable iff every (measure, hypothesis) state can merge without
-  // score drift — kExact integer counts or kBitExact pairwise-tree
-  // moments, so scores are byte-identical at any worker count — and no
-  // sequential-lane work is required. Streaming runs,
-  // S < 2, SGD measures, and model-merged composites pin the whole job to
-  // one worker instead (the pipeline would refuse RestrictShards anyway;
-  // this predicate mirrors its lane planning).
-  bool sliceable = !plan.options.streaming && total_shards >= 2;
-  for (const MeasureFactoryPtr& factory : plan.measures) {
-    if (!sliceable) break;
-    for (const HypothesisPtr& hyp : plan.hypotheses) {
-      if (plan.options.model_merging && factory->mergeable() &&
-          hyp->num_classes() == 2) {
-        sliceable = false;  // merged composite = sequential lane
-        break;
-      }
-      std::unique_ptr<Measure> probe =
-          factory->Create(1, hyp->num_classes());
-      if (probe == nullptr ||
-          probe->merge_exactness() == MergeExactness::kNone) {
-        sliceable = false;
-        break;
-      }
-    }
-  }
+  // Sliced iff the pipeline's own lane decision puts every pair on a
+  // shard lane (exact-merging states, no sequential-lane work); streaming
+  // runs, S < 2, SGD measures and model-merged composites pin the whole
+  // job to one worker instead.
+  const bool sliceable =
+      Sliceable(plan.measures, plan.hypotheses, plan.options, total_shards);
 
   // The request that travels: pin every score-affecting option so the
   // scores depend only on (seed, total_shards), never on worker count or

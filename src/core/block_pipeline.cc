@@ -15,10 +15,6 @@ namespace deepbase {
 
 namespace {
 
-// Upper bound on the effective shard count (replica memory is linear in
-// shards; values above this are clamped with a warning).
-constexpr size_t kMaxShards = 64;
-
 // Error threshold for a measure family (paper §6.2 defaults).
 double EpsilonFor(const MeasureFactory& factory, const InspectOptions& opts) {
   const std::string& name = factory.name();
@@ -45,6 +41,38 @@ size_t ResolveShards(const InspectOptions& options) {
 
 }  // namespace
 
+LaneDecision DecideLane(const MeasureFactory& factory,
+                        const HypothesisFn& hypothesis,
+                        const InspectOptions& options) {
+  if (options.model_merging && factory.mergeable() &&
+      hypothesis.num_classes() == 2) {
+    return {LaneKind::kMergedComposite, MergeExactness::kNone};
+  }
+  // Merge exactness is a property of the measure kind; a one-unit probe
+  // reads it.
+  const std::unique_ptr<Measure> probe =
+      factory.Create(1, hypothesis.num_classes());
+  const MergeExactness exactness =
+      probe == nullptr ? MergeExactness::kNone : probe->merge_exactness();
+  return {exactness == MergeExactness::kNone ? LaneKind::kSequential
+                                             : LaneKind::kShard,
+          exactness};
+}
+
+bool Sliceable(const std::vector<MeasureFactoryPtr>& measures,
+               const std::vector<HypothesisPtr>& hypotheses,
+               const InspectOptions& options, size_t total_shards) {
+  if (options.streaming || total_shards < 2) return false;
+  for (const MeasureFactoryPtr& factory : measures) {
+    for (const HypothesisPtr& hyp : hypotheses) {
+      if (DecideLane(*factory, *hyp, options).kind != LaneKind::kShard) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
                              const Dataset& dataset,
                              const std::vector<MeasureFactoryPtr>& scores,
@@ -52,6 +80,7 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
                              const InspectOptions& options)
     : models_(models),
       dataset_(dataset),
+      scores_(scores),
       hypotheses_(hypotheses),
       options_(options) {
   num_shards_ = ResolveShards(options);
@@ -94,12 +123,10 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
     }
   }
 
-  // --- Plan measures: merged states for mergeable joint measures over
-  // binary hypotheses (when model merging is on), individual Measure
-  // instances for everything else. Pairs whose measure supports
-  // CloneState/MergeFrom ride the shard lanes when num_shards > 1;
-  // everything else (SGD-trained pairs, merged composites) is pinned to
-  // the sequential lane.
+  // --- Plan measures (DecideLane per (measure, hypothesis)): merged
+  // states for merged composites, individual Measure instances for
+  // everything else. Shard-lane pairs ride the shard lanes when
+  // num_shards > 1; everything else is pinned to the sequential lane.
   for (size_t m = 0; m < models_.size(); ++m) {
     for (size_t g = 0; g < models_[m].groups.size(); ++g) {
       const size_t nu = models_[m].groups[g].unit_ids.size();
@@ -108,27 +135,26 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
         const double eps = EpsilonFor(factory, options_);
         std::vector<size_t> mergeable_hyps;
         for (size_t h = 0; h < hypotheses_.size(); ++h) {
-          const bool binary = hypotheses_[h]->num_classes() == 2;
-          if (options_.model_merging && factory.mergeable() && binary) {
+          const LaneKind kind =
+              DecideLane(factory, *hypotheses_[h], options_).kind;
+          if (kind == LaneKind::kMergedComposite) {
             mergeable_hyps.push_back(h);
-          } else {
-            PipelinePair pair;
-            pair.model_i = m;
-            pair.group_i = g;
-            pair.score_i = s;
-            pair.hyp_i = h;
-            pair.measure = factory.Create(nu, hypotheses_[h]->num_classes());
-            pair.epsilon = eps;
-            pair.shardable =
-                num_shards_ > 1 &&
-                pair.measure->merge_exactness() != MergeExactness::kNone;
-            if (pair.shardable) {
-              have_shardable_ = true;
-            } else {
-              have_sequential_ = true;
-            }
-            pairs_.push_back(std::move(pair));
+            continue;
           }
+          PipelinePair pair;
+          pair.model_i = m;
+          pair.group_i = g;
+          pair.score_i = s;
+          pair.hyp_i = h;
+          pair.measure = factory.Create(nu, hypotheses_[h]->num_classes());
+          pair.epsilon = eps;
+          pair.shardable = num_shards_ > 1 && kind == LaneKind::kShard;
+          if (pair.shardable) {
+            have_shardable_ = true;
+          } else {
+            have_sequential_ = true;
+          }
+          pairs_.push_back(std::move(pair));
         }
         if (!mergeable_hyps.empty()) {
           PipelineMerged ms;
@@ -146,6 +172,8 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
       }
     }
   }
+  // S == 1: the sequential lane is the only lane, even with no work.
+  if (num_shards_ == 1) have_sequential_ = true;
 
   warned_bad_size_ =
       std::make_unique<std::atomic<bool>[]>(hypotheses_.size());
@@ -198,16 +226,11 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
 BlockPipeline::~BlockPipeline() = default;
 
 Status BlockPipeline::RestrictShards(size_t shard_lo, size_t shard_hi) {
-  if (num_shards_ <= 1) {
-    return Status::Invalid("slice mode requires num_shards > 1");
-  }
-  if (options_.streaming) {
-    return Status::Invalid("slice mode requires a materialized run");
-  }
-  if (have_sequential_) {
+  if (!Sliceable(scores_, hypotheses_, options_, num_shards_)) {
     return Status::Invalid(
-        "slice mode cannot host sequential-lane measures; run the job "
-        "whole on a single worker instead");
+        "slice mode requires a materialized run with num_shards > 1 and no "
+        "sequential-lane measures; run the job whole on a single worker "
+        "instead");
   }
   if (shard_lo >= shard_hi || shard_hi > num_shards_) {
     return Status::Invalid("shard range [" + std::to_string(shard_lo) + ", " +
@@ -394,6 +417,11 @@ std::span<const float> BlockPipeline::HypSpan(const BlockData& data,
   return {data.hyp_cols.row_data(h), data.hyp_cols.cols()};
 }
 
+bool BlockPipeline::Converged(const Measure& measure, double epsilon) const {
+  return options_.early_stopping && measure.SupportsConvergence() &&
+         measure.ErrorEstimate() < epsilon;
+}
+
 void BlockPipeline::InspectShardBlock(const BlockData& data, size_t shard,
                                       LaneScratch* scratch) {
   for (auto& pair : pairs_) {
@@ -411,28 +439,23 @@ void BlockPipeline::InspectShardBlock(const BlockData& data, size_t shard,
     // identical no matter which lane or worker consumed the block.
     measure->BeginBlock(data.serial);
     measure->ProcessBlock(units, HypSpan(data, pair.hyp_i));
-    if (options_.early_stopping && measure->SupportsConvergence() &&
-        measure->ErrorEstimate() < pair.epsilon &&
-        !pair.shard_converged.empty()) {
+    // Before EnsureReplicas (the calibration block) there are no shard
+    // flags yet; EnsureReplicas reads the primary's convergence itself.
+    if (!pair.shard_converged.empty() && Converged(*measure, pair.epsilon)) {
       pair.shard_converged[shard] = 1;
     }
   }
 }
 
 void BlockPipeline::InspectSequentialBlock(const BlockData& data,
-                                           LaneScratch* scratch,
-                                           bool include_shardable_primary) {
+                                           LaneScratch* scratch) {
   for (auto& pair : pairs_) {
-    if (pair.shardable && !include_shardable_primary) continue;
-    if (pair.converged) continue;
+    if (pair.shardable || pair.converged) continue;
     const Matrix& units = GroupMatrix(data, pair.model_i, pair.group_i,
                                       scratch);
     pair.measure->BeginBlock(data.serial);
     pair.measure->ProcessBlock(units, HypSpan(data, pair.hyp_i));
-    if (options_.early_stopping && pair.measure->SupportsConvergence() &&
-        pair.measure->ErrorEstimate() < pair.epsilon) {
-      pair.converged = true;
-    }
+    pair.converged = Converged(*pair.measure, pair.epsilon);
   }
   for (auto& ms : merged_) {
     if (ms.all_converged) continue;
@@ -462,38 +485,31 @@ void BlockPipeline::InspectSequentialBlock(const BlockData& data,
   }
 }
 
-bool BlockPipeline::SequentialLaneConverged() const {
+bool BlockPipeline::LaneConverged(size_t lane) const {
+  const bool shard = lane < ShardLanes();
   for (const auto& pair : pairs_) {
-    if (!pair.shardable && !pair.converged) return false;
-  }
-  for (const auto& ms : merged_) {
-    if (!ms.all_converged) return false;
-  }
-  return true;
-}
-
-bool BlockPipeline::ShardLaneConverged(size_t shard) const {
-  for (const auto& pair : pairs_) {
-    if (!pair.shardable) continue;
-    if (pair.shard_converged.empty() || !pair.shard_converged[shard]) {
+    if (pair.shardable != shard) continue;
+    if (shard ? pair.shard_converged.empty() || !pair.shard_converged[lane]
+              : !pair.converged) {
       return false;
     }
+  }
+  for (const auto& ms : merged_) {
+    if (!shard && !ms.all_converged) return false;
   }
   return true;
 }
 
 bool BlockPipeline::AllConverged() const {
-  for (const auto& pair : pairs_) {
-    if (!pair.FullyConverged()) return false;
+  if (pairs_.empty() && merged_.empty()) return false;
+  // Shard lanes, then the sequential lane (trivially converged when empty).
+  for (size_t lane = 0; lane <= ShardLanes(); ++lane) {
+    if (!LaneConverged(lane)) return false;
   }
-  for (const auto& ms : merged_) {
-    if (!ms.all_converged) return false;
-  }
-  return !pairs_.empty() || !merged_.empty();
+  return true;
 }
 
 void BlockPipeline::EnsureReplicas() {
-  if (num_shards_ <= 1) return;
   for (auto& pair : pairs_) {
     if (!pair.shardable || !pair.replicas.empty()) continue;
     pair.replicas.resize(num_shards_);  // [0] stays null: primary stands in
@@ -503,7 +519,7 @@ void BlockPipeline::EnsureReplicas() {
       DB_DCHECK(pair.replicas[s] != nullptr);
     }
     pair.shard_converged.assign(num_shards_, 0);
-    if (pair.converged) pair.shard_converged[0] = 1;
+    pair.shard_converged[0] = Converged(*pair.measure, pair.epsilon);
   }
 }
 
@@ -525,9 +541,10 @@ void BlockPipeline::TickProgress(size_t records) const {
                                             std::memory_order_relaxed);
 }
 
-BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& total_watch) {
+BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& watch) {
   Totals totals;
   totals.num_shards = num_shards_;
+  const size_t passes = std::max<size_t>(1, options_.passes);
   // Plan the progress denominator up front: a full sweep is one dispatch
   // per block per pass (materialized runs re-dispatch the same blocks on
   // every pass; streaming runs re-extract, capped by max_blocks overall).
@@ -535,22 +552,15 @@ BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& total_watch) {
     const size_t block_size = std::max<size_t>(1, options_.block_size);
     const size_t per_pass =
         (dataset_.num_records() + block_size - 1) / block_size;
-    const size_t passes = std::max<size_t>(1, options_.passes);
-    size_t planned;
-    const bool mul_overflows =
-        per_pass != 0 &&
-        passes > std::numeric_limits<size_t>::max() / per_pass;
-    if (options_.streaming) {
-      planned = mul_overflows ? options_.max_blocks
-                              : std::min(per_pass * passes,
-                                         options_.max_blocks);
-    } else {
-      const size_t capped = std::min(per_pass, options_.max_blocks);
-      planned = (capped != 0 &&
-                 passes > std::numeric_limits<size_t>::max() / capped)
-                    ? std::numeric_limits<size_t>::max()
-                    : capped * passes;
-    }
+    auto saturating_mul = [](size_t a, size_t b) {
+      return a != 0 && b > std::numeric_limits<size_t>::max() / a
+                 ? std::numeric_limits<size_t>::max()
+                 : a * b;
+    };
+    const size_t planned =
+        options_.streaming
+            ? std::min(saturating_mul(per_pass, passes), options_.max_blocks)
+            : saturating_mul(std::min(per_pass, options_.max_blocks), passes);
     totals.blocks_planned = planned;
     if (options_.progress != nullptr) {
       options_.progress->blocks_done.store(0, std::memory_order_relaxed);
@@ -559,26 +569,78 @@ BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& total_watch) {
                                             std::memory_order_relaxed);
     }
   }
-  const size_t n_lanes =
-      num_shards_ == 1 ? 1 : num_shards_ + (have_sequential_ ? 1 : 0);
+  const size_t seq_lane = ShardLanes();
+  const size_t n_lanes = seq_lane + (have_sequential_ ? 1 : 0);
   totals.lanes.assign(n_lanes, {});
   totals.store_hyp_mem_hits = store_hyp_mem_hits_;
   totals.store_hyp_disk_hits = store_hyp_disk_hits_;
   totals.store_hyp_misses = store_hyp_misses_;
   totals.lanes[0].hyp_extraction_s += hyp_tier_prelude_s_;
-  if (num_shards_ == 1) {
-    RunSingleLane(total_watch, &totals);
-  } else if (options_.streaming) {
-    RunShardedStreaming(total_watch, &totals);
-  } else {
-    RunShardedMaterialized(total_watch, &totals);
+
+  // --- The block loop (§5.2): the source hands out waves, the first block
+  // calibrates the primaries on the caller, and every lane consumes its
+  // share of each wave. Lane state is private, so the only
+  // synchronization is the per-wave join; early stopping is checked there.
+  {
+    std::vector<LaneScratch> scratch;
+    scratch.reserve(n_lanes);
+    for (size_t t = 0; t < n_lanes; ++t) scratch.push_back(MakeScratch());
+    // One span over a streaming run: per-wave spans would flood the trace
+    // ring on long runs without adding timeline structure.
+    TraceContext stream_trace = Trace(options_.streaming);
+    DB_SPAN_NAMED(stream_span, stream_trace, "pipeline.stream");
+    Source source{BlockIterator(&dataset_, options_.block_size,
+                                options_.shuffle_seed)};
+    Wave wave;
+    bool calibrated = false;
+    while (!totals.stopped_early &&
+           NextWave(watch, &source, &wave, &totals)) {
+      if (!calibrated) {
+        // Pass 0, position 0 calibrates the primary states (thresholds,
+        // bin edges) that CloneState() then hands to every replica.
+        const BlockData& first = wave.blocks[0];
+        if (first.rows == 0) break;  // cancelled before anything ran
+        Stopwatch inspect_watch;
+        InspectSequentialBlock(first, &scratch[0]);
+        InspectShardBlock(first, 0, &scratch[0]);
+        RuntimeStats::Shard& lane0 = totals.lanes[0];
+        lane0.inspection_s += inspect_watch.Seconds();
+        lane0.blocks_processed += 1;
+        lane0.records_processed += first.records;
+        if (have_sequential_ && seq_lane != 0) {
+          totals.lanes[seq_lane].blocks_processed += 1;
+          totals.lanes[seq_lane].records_processed += first.records;
+        }
+        // In slice mode every worker runs the calibration block, but only
+        // the shard-0 owner counts it toward progress — the coordinator
+        // sums the per-range counters, so it must tick once cluster-wide.
+        if (OwnsShard(0)) TickProgress(first.records);
+        EnsureReplicas();
+        calibrated = true;
+        wave.skip = 1;
+      }
+      if (wave.sweeps > 1 || wave.blocks.size() > wave.skip) {
+        ParallelDo(n_lanes, [&](size_t t) {
+          RunLane(t, wave, watch, &scratch[t], &totals.lanes[t]);
+        });
+      }
+      totals.stopped_early = options_.early_stopping && AllConverged();
+    }
+    stream_span.Tag("blocks", static_cast<uint64_t>(source.serial));
   }
+  size_t shard_dispatch = 0;
+  for (size_t s = 0; s < seq_lane; ++s) {
+    shard_dispatch += totals.lanes[s].blocks_processed;
+  }
+  const size_t seq_dispatch =
+      have_sequential_ ? totals.lanes[seq_lane].blocks_processed : 0;
+  totals.blocks_processed = std::max(shard_dispatch, seq_dispatch);
+
   if (num_shards_ > 1 && !sliced_) {
     // Slice mode skips the merge: the owned range's states leave through
     // TakeShardStates() and recombine on the coordinator. Merge time is
-    // its own phase (Totals::merge_s) — it used to be folded into lane
-    // 0's inspection_s, which double-billed the inspection phase.
-    TraceContext trace{options_.tracer, options_.trace_parent_span};
+    // its own phase (Totals::merge_s), not block inspection.
+    TraceContext trace = Trace(true);
     DB_SPAN(trace, "pipeline.merge");
     Stopwatch merge_watch;
     MergeReplicas();
@@ -588,338 +650,108 @@ BlockPipeline::Totals BlockPipeline::Run(const Stopwatch& total_watch) {
   return totals;
 }
 
-// The classic sequential engine loop (paper §5.2), exactly as before the
-// pipeline existed: one lane consumes every block in shuffle order.
-void BlockPipeline::RunSingleLane(const Stopwatch& watch, Totals* totals) {
-  RuntimeStats::Shard& lane = totals->lanes[0];
-  LaneScratch scratch = MakeScratch();
-  const size_t passes = std::max<size_t>(1, options_.passes);
-  size_t serial = 0;
-  bool stopped_early = false;
-
-  auto inspect = [&](const BlockData& data) {
-    Stopwatch inspect_watch;
-    InspectSequentialBlock(data, &scratch, /*include_shardable_primary=*/true);
-    lane.inspection_s += inspect_watch.Seconds();
-    ++totals->blocks_processed;
-    ++lane.blocks_processed;
-    TickProgress(data.records);
-    return options_.early_stopping && AllConverged();
-  };
-
+bool BlockPipeline::NextWave(const Stopwatch& watch, Source* src,
+                             Wave* wave, Totals* totals) {
+  std::vector<std::vector<size_t>> idx;
   if (options_.streaming) {
-    // Online extraction (§5.2.3): stop reading the moment scores converge.
-    // Extra passes re-extract with a different shuffle (rare for streaming;
-    // multi-pass workloads normally materialize instead).
-    for (size_t pass = 0; pass < passes && !stopped_early; ++pass) {
-      BlockIterator it(&dataset_, options_.block_size,
-                       options_.shuffle_seed + pass);
-      while (it.HasNext() &&
-             totals->blocks_processed < options_.max_blocks &&
-             !OverBudget(watch) && !CancelRequested()) {
-        std::vector<size_t> block = it.NextBlock();
-        BlockData data;
-        ExtractInto(block, serial++, &data);
-        lane.unit_extraction_s += data.unit_s;
-        lane.hyp_extraction_s += data.hyp_s;
-        lane.records_processed += data.records;
-        totals->records_processed += data.records;
-        if (inspect(data)) {
-          stopped_early = true;
-          break;
-        }
-      }
+    // Online extraction (§5.2.3): every pass re-shuffles and re-extracts.
+    // A pass's position 0 is a wave of its own, then waves of up to S
+    // fresh blocks, one per shard lane; max_blocks caps the dispatches
+    // over all passes.
+    if (!src->it.HasNext() &&
+        ++src->pass < std::max<size_t>(1, options_.passes)) {
+      src->it = BlockIterator(&dataset_, options_.block_size,
+                              options_.shuffle_seed + src->pass);
+      src->pos = 0;
     }
-  } else {
-    // Full materialization first (naive design, §5.1.2): all behaviors are
-    // extracted regardless of convergence; early stopping (if enabled) can
-    // only save inspection work. Additional passes reuse the materialized
-    // blocks at no extraction cost (the §6.3 multi-pass pattern).
-    std::vector<BlockData> materialized;
-    BlockIterator it(&dataset_, options_.block_size, options_.shuffle_seed);
-    while (it.HasNext() && materialized.size() < options_.max_blocks &&
+    const size_t wave_size = src->pos == 0 ? 1 : num_shards_;
+    while (idx.size() < wave_size && src->it.HasNext() &&
+           src->serial + idx.size() < options_.max_blocks) {
+      idx.push_back(src->it.NextBlock());
+    }
+  } else if (src->serial == 0) {
+    // Full materialization (§5.1.2), as the run's only wave: every
+    // behavior is extracted once, regardless of convergence; the lanes
+    // sweep the blocks once per pass (the §6.3 multi-pass pattern).
+    while (src->it.HasNext() && idx.size() < options_.max_blocks &&
            !OverBudget(watch) && !CancelRequested()) {
-      std::vector<size_t> block = it.NextBlock();
-      BlockData data;
-      ExtractInto(block, serial++, &data);
-      lane.unit_extraction_s += data.unit_s;
-      lane.hyp_extraction_s += data.hyp_s;
-      lane.records_processed += data.records;
-      totals->records_processed += data.records;
-      materialized.push_back(std::move(data));
-    }
-    for (size_t pass = 0; pass < passes && !stopped_early; ++pass) {
-      for (const BlockData& data : materialized) {
-        if (OverBudget(watch) || CancelRequested()) break;
-        if (inspect(data)) {
-          stopped_early = true;
-          break;
-        }
-      }
+      idx.push_back(src->it.NextBlock());
     }
   }
-  totals->stopped_early = stopped_early;
-}
+  if (idx.empty() || OverBudget(watch) || CancelRequested()) return false;
 
-void BlockPipeline::RunShardedMaterialized(const Stopwatch& watch,
-                                           Totals* totals) {
-  const size_t S = num_shards_;
-  const size_t passes = std::max<size_t>(1, options_.passes);
-
-  // --- Enumerate blocks (cheap index shuffling only).
-  std::vector<std::vector<size_t>> block_idx;
-  BlockIterator it(&dataset_, options_.block_size, options_.shuffle_seed);
-  while (it.HasNext() && block_idx.size() < options_.max_blocks &&
-         !OverBudget(watch) && !CancelRequested()) {
-    block_idx.push_back(it.NextBlock());
-  }
-  if (block_idx.empty()) return;
-
-  // --- Parallel extraction over blocks. Budget/cancel are re-checked in
-  // the tasks; a truncated block stays empty and is skipped by every lane
-  // (nondeterministic only in the ways budget/cancel always were).
-  std::vector<BlockData> blocks(block_idx.size());
+  // Block buffers are reused wave to wave, so each extraction frees its
+  // predecessor's matrices just before allocating the same shapes;
+  // freeing a whole wave up front made cold_scan's LSTM extraction ~35%
+  // slower on a 4-vCPU Xeon VM.
+  const size_t n = idx.size();
+  if (src->blocks.size() < n) src->blocks.resize(n);
   {
-    TraceContext trace{options_.tracer, options_.trace_parent_span};
+    TraceContext trace = Trace(!options_.streaming);
     DB_SPAN_NAMED(extract_span, trace, "pipeline.extract");
-    extract_span.Tag("blocks", static_cast<uint64_t>(block_idx.size()));
-    ParallelDo(block_idx.size(), [&](size_t b) {
-      if (!OwnsBlock(b)) return;  // slice mode: another worker's block
+    extract_span.Tag("blocks", static_cast<uint64_t>(n));
+    // Budget/cancel are re-checked per block; a truncated block stays
+    // empty (rows == 0) and every lane skips it (nondeterministic only in
+    // the ways budget/cancel always were).
+    ParallelDo(n, [&](size_t i) {
+      BlockData& data = src->blocks[i];
+      data.rows = 0;
+      if (!OwnsBlock(src->pos + i)) return;  // slice mode: another worker's
       if (OverBudget(watch) || CancelRequested()) return;
-      ExtractInto(block_idx[b], b, &blocks[b]);
+      ExtractInto(idx[i], src->serial + i, &data);
     });
   }
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const size_t slot = b == 0 ? 0 : (b - 1) % S;
-    totals->lanes[slot].unit_extraction_s += blocks[b].unit_s;
-    totals->lanes[slot].hyp_extraction_s += blocks[b].hyp_s;
-    totals->records_processed += blocks[b].records;
+  for (size_t i = 0; i < n; ++i) {
+    const BlockData& data = src->blocks[i];
+    if (data.rows == 0) continue;  // not extracted here
+    RuntimeStats::Shard& lane = totals->lanes[LaneOf(src->pos + i)];
+    lane.unit_extraction_s += data.unit_s;
+    lane.hyp_extraction_s += data.hyp_s;
+    totals->records_processed += data.records;
   }
-  if (blocks[0].rows == 0) return;  // cancelled before anything ran
-
-  // --- Pass 0, block 0 on the caller: calibrates the primary states
-  // (thresholds, bin edges) that CloneState() hands to every replica.
-  {
-    LaneScratch scratch = MakeScratch();
-    Stopwatch inspect_watch;
-    InspectSequentialBlock(blocks[0], &scratch,
-                           /*include_shardable_primary=*/true);
-    totals->lanes[0].inspection_s += inspect_watch.Seconds();
-    totals->lanes[0].blocks_processed += 1;
-    totals->lanes[0].records_processed += blocks[0].records;
-    // In slice mode every worker runs block 0 (calibration), but only the
-    // shard-0 owner counts it toward progress — the coordinator sums the
-    // per-range counters, so the block must tick exactly once cluster-wide.
-    if (OwnsShard(0)) TickProgress(blocks[0].records);
-    if (have_sequential_) {
-      totals->lanes[S].blocks_processed += 1;
-      totals->lanes[S].records_processed += blocks[0].records;
-    }
-  }
-  EnsureReplicas();
-
-  // --- Lanes: every shard (and the sequential lane, when present) runs
-  // its own pass loop without barriers; lane state is private, so the only
-  // synchronization is the final join.
-  const size_t n_lanes = S + (have_sequential_ ? 1 : 0);
-  std::vector<RuntimeStats::Shard> lane_acc(n_lanes);
-  ParallelDo(n_lanes, [&](size_t t) {
-    if (t < S && !OwnsShard(t)) return;  // slice mode: not our shard
-    // Each lane carries a private TraceContext (the shared Tracer's ring
-    // is internally locked) so lane spans parent to the pipeline caller
-    // without racing on a shared parent cursor.
-    TraceContext trace{options_.tracer, options_.trace_parent_span};
-    DB_SPAN_NAMED(lane_span, trace,
-                  t < S ? "pipeline.lane" : "pipeline.seq_lane");
-    if (t < S) lane_span.Tag("shard", static_cast<uint64_t>(t));
-    LaneScratch scratch = MakeScratch();
-    RuntimeStats::Shard& acc = lane_acc[t];
-    bool stop = false;
-    if (t < S) {
-      for (size_t pass = 0; pass < passes && !stop; ++pass) {
-        if (options_.early_stopping && ShardLaneConverged(t)) break;
-        // Shard t owns blocks {b >= 1 : (b-1) % S == t}; shard 0 re-plays
-        // block 0 on passes >= 1 (pass 0 ran it on the caller above).
-        if (pass > 0 && t == 0) {
-          if (OverBudget(watch) || CancelRequested()) break;
-          Stopwatch inspect_watch;
-          InspectShardBlock(blocks[0], 0, &scratch);
-          acc.inspection_s += inspect_watch.Seconds();
-          acc.blocks_processed += 1;
-          acc.records_processed += blocks[0].records;
-          TickProgress(blocks[0].records);
-        }
-        for (size_t b = t + 1; b < blocks.size(); b += S) {
-          if (OverBudget(watch) || CancelRequested()) {
-            stop = true;
-            break;
-          }
-          if (options_.early_stopping && ShardLaneConverged(t)) break;
-          if (blocks[b].rows == 0) continue;  // truncated by budget/cancel
-          Stopwatch inspect_watch;
-          InspectShardBlock(blocks[b], t, &scratch);
-          acc.inspection_s += inspect_watch.Seconds();
-          acc.blocks_processed += 1;
-          acc.records_processed += blocks[b].records;
-          TickProgress(blocks[b].records);
-        }
-      }
-    } else {
-      // Sequential lane: non-mergeable pairs + merged composites, all
-      // blocks in global order (bit-exact at any shard count).
-      for (size_t pass = 0; pass < passes && !stop; ++pass) {
-        if (options_.early_stopping && SequentialLaneConverged()) break;
-        for (size_t b = pass == 0 ? 1 : 0; b < blocks.size(); ++b) {
-          if (OverBudget(watch) || CancelRequested()) {
-            stop = true;
-            break;
-          }
-          if (options_.early_stopping && SequentialLaneConverged()) break;
-          if (blocks[b].rows == 0) continue;
-          Stopwatch inspect_watch;
-          InspectSequentialBlock(blocks[b], &scratch,
-                                 /*include_shardable_primary=*/false);
-          acc.inspection_s += inspect_watch.Seconds();
-          acc.blocks_processed += 1;
-          acc.records_processed += blocks[b].records;
-        }
-      }
-    }
-  });
-  for (size_t t = 0; t < n_lanes; ++t) {
-    totals->lanes[t].Accumulate(lane_acc[t]);
-  }
-  size_t shard_dispatch = 0;
-  for (size_t s = 0; s < S; ++s) {
-    shard_dispatch += totals->lanes[s].blocks_processed;
-  }
-  const size_t seq_dispatch =
-      have_sequential_ ? totals->lanes[S].blocks_processed : 0;
-  totals->blocks_processed = std::max(shard_dispatch, seq_dispatch);
-  totals->stopped_early = options_.early_stopping && AllConverged();
+  *wave = Wave{std::span<const BlockData>(src->blocks.data(), n), src->pos,
+               options_.streaming ? 1 : std::max<size_t>(1, options_.passes)};
+  src->pos += n;
+  src->serial += n;
+  return true;
 }
 
-void BlockPipeline::RunShardedStreaming(const Stopwatch& watch,
-                                        Totals* totals) {
-  const size_t S = num_shards_;
-  const size_t passes = std::max<size_t>(1, options_.passes);
-  const size_t n_lanes = S + (have_sequential_ ? 1 : 0);
-  std::vector<LaneScratch> lane_scratch;
-  lane_scratch.reserve(n_lanes);
-  for (size_t t = 0; t < n_lanes; ++t) lane_scratch.push_back(MakeScratch());
-  std::vector<RuntimeStats::Shard> lane_acc(n_lanes);
-  size_t serial = 0;
-  size_t dispatched = 0;
-  bool stopped_early = false;
-  // One span over the whole streaming loop: per-wave spans would flood
-  // the trace ring on long runs without adding timeline structure.
-  TraceContext trace{options_.tracer, options_.trace_parent_span};
-  DB_SPAN_NAMED(stream_span, trace, "pipeline.stream");
-
-  for (size_t pass = 0; pass < passes && !stopped_early; ++pass) {
-    BlockIterator it(&dataset_, options_.block_size,
-                     options_.shuffle_seed + pass);
-    if (!it.HasNext() || dispatched >= options_.max_blocks ||
-        OverBudget(watch) || CancelRequested()) {
-      break;
-    }
-    // --- Per-pass block 0 on the caller thread. On pass 0 it calibrates
-    // the primaries before the replicas are cloned; on later passes it is
-    // shard 0's block (plus the sequential lane's, like every block).
-    {
-      std::vector<size_t> block = it.NextBlock();
-      BlockData data;
-      ExtractInto(block, serial++, &data);
-      totals->lanes[0].unit_extraction_s += data.unit_s;
-      totals->lanes[0].hyp_extraction_s += data.hyp_s;
-      totals->records_processed += data.records;
+void BlockPipeline::RunLane(size_t lane, const Wave& wave,
+                            const Stopwatch& watch, LaneScratch* scratch,
+                            RuntimeStats::Shard* acc) {
+  const bool shard = lane < ShardLanes();
+  if (shard && !OwnsShard(lane)) return;  // slice mode: not our shard
+  // Materialized lanes carry a span each, on a private TraceContext (the
+  // shared Tracer's ring is internally locked) so they parent to the
+  // pipeline caller without racing on a shared parent cursor. Streaming
+  // lanes are covered by the one pipeline.stream span.
+  TraceContext trace = Trace(!options_.streaming);
+  DB_SPAN_NAMED(lane_span, trace,
+                shard ? "pipeline.lane" : "pipeline.seq_lane");
+  if (shard) lane_span.Tag("shard", static_cast<uint64_t>(lane));
+  // Progress counts each block once per pass: the shard lanes' dispatches
+  // when shardable work exists, else the sequential lane's.
+  const bool ticks = shard == have_shardable_;
+  for (size_t sweep = 0; sweep < wave.sweeps; ++sweep) {
+    for (size_t i = sweep == 0 ? wave.skip : 0; i < wave.blocks.size();
+         ++i) {
+      if (shard && LaneOf(wave.first_pos + i) != lane) continue;
+      if (OverBudget(watch) || CancelRequested()) return;
+      if (options_.early_stopping && LaneConverged(lane)) return;
+      const BlockData& data = wave.blocks[i];
+      if (data.rows == 0) continue;  // truncated by budget/cancel
       Stopwatch inspect_watch;
-      if (pass == 0) {
-        InspectSequentialBlock(data, &lane_scratch[0],
-                               /*include_shardable_primary=*/true);
-        EnsureReplicas();
+      if (shard) {
+        InspectShardBlock(data, lane, scratch);
       } else {
-        InspectSequentialBlock(data, &lane_scratch[0],
-                               /*include_shardable_primary=*/false);
-        InspectShardBlock(data, 0, &lane_scratch[0]);
+        InspectSequentialBlock(data, scratch);
       }
-      totals->lanes[0].inspection_s += inspect_watch.Seconds();
-      totals->lanes[0].blocks_processed += 1;
-      totals->lanes[0].records_processed += data.records;
-      TickProgress(data.records);
-      if (have_sequential_) {
-        totals->lanes[S].blocks_processed += 1;
-        totals->lanes[S].records_processed += data.records;
-      }
-      ++dispatched;
-      if (options_.early_stopping && AllConverged()) {
-        stopped_early = true;
-        break;
-      }
-    }
-    // --- Waves of up to S blocks: parallel extraction, then one lane per
-    // block (wave offset i is shard i by construction) plus the sequential
-    // lane over the whole wave in order. Early stopping and the time
-    // budget are enforced at wave boundaries.
-    std::vector<std::vector<size_t>> wave_idx;
-    std::vector<BlockData> wave(S);
-    while (!stopped_early && it.HasNext() &&
-           dispatched < options_.max_blocks && !OverBudget(watch) &&
-           !CancelRequested()) {
-      wave_idx.clear();
-      while (wave_idx.size() < S && it.HasNext() &&
-             dispatched + wave_idx.size() < options_.max_blocks) {
-        wave_idx.push_back(it.NextBlock());
-      }
-      if (wave_idx.empty()) break;
-      const size_t wn = wave_idx.size();
-      const size_t base_serial = serial;
-      serial += wn;
-      ParallelDo(wn, [&](size_t i) {
-        ExtractInto(wave_idx[i], base_serial + i, &wave[i]);
-      });
-      for (size_t i = 0; i < wn; ++i) {
-        totals->lanes[i].unit_extraction_s += wave[i].unit_s;
-        totals->lanes[i].hyp_extraction_s += wave[i].hyp_s;
-        totals->records_processed += wave[i].records;
-      }
-      const size_t tasks = wn + (have_sequential_ ? 1 : 0);
-      ParallelDo(tasks, [&](size_t t) {
-        if (t < wn) {
-          Stopwatch inspect_watch;
-          InspectShardBlock(wave[t], t, &lane_scratch[t]);
-          lane_acc[t].inspection_s += inspect_watch.Seconds();
-          lane_acc[t].blocks_processed += 1;
-          lane_acc[t].records_processed += wave[t].records;
-          TickProgress(wave[t].records);
-        } else {
-          Stopwatch inspect_watch;
-          for (size_t i = 0; i < wn; ++i) {
-            InspectSequentialBlock(wave[i], &lane_scratch[S],
-                                   /*include_shardable_primary=*/false);
-            lane_acc[S].blocks_processed += 1;
-            lane_acc[S].records_processed += wave[i].records;
-          }
-          lane_acc[S].inspection_s += inspect_watch.Seconds();
-        }
-      });
-      dispatched += wn;
-      if (options_.early_stopping && AllConverged()) stopped_early = true;
+      acc->inspection_s += inspect_watch.Seconds();
+      acc->blocks_processed += 1;
+      acc->records_processed += data.records;
+      if (ticks) TickProgress(data.records);
     }
   }
-  for (size_t t = 0; t < n_lanes; ++t) {
-    totals->lanes[t].Accumulate(lane_acc[t]);
-  }
-  size_t shard_dispatch = 0;
-  for (size_t s = 0; s < S; ++s) {
-    shard_dispatch += totals->lanes[s].blocks_processed;
-  }
-  const size_t seq_dispatch =
-      have_sequential_ ? totals->lanes[S].blocks_processed : 0;
-  totals->blocks_processed = std::max(shard_dispatch, seq_dispatch);
-  totals->stopped_early =
-      stopped_early || (options_.early_stopping && AllConverged());
-  stream_span.Tag("blocks", static_cast<uint64_t>(dispatched));
 }
 
 }  // namespace deepbase

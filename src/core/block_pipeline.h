@@ -15,17 +15,26 @@
 // lane that consumes all blocks in global order and thus stay bit-exact at
 // every shard count.
 //
-// Lanes (num_shards = S > 1):
-//   shard lane s   — mergeable pairs' replica s over the shard's blocks
-//   sequential lane — non-mergeable pairs + merged (composite) measures,
-//                     all blocks in global order
-// With S == 1 everything runs on the single legacy lane, preserving the
-// pre-pipeline engine semantics exactly.
+// One block loop (paper §5.2, Figure 4) serves every configuration; the
+// optimisations are flags on it. A block source yields waves of extracted
+// blocks: streaming runs extract up to S fresh blocks per wave (a pass's
+// position 0 is a wave of its own), materialized runs extract every block
+// once up front and hand all passes to the lanes as one wave. Dispatch:
+//   pass 0, position 0 — the calibration block, inspected on the caller by
+//                        the sequential states and the primaries before
+//                        the replicas are cloned
+//   position 0, later passes — shard lane 0
+//   position p >= 1    — shard lane (p-1) % S
+//   sequential lane    — non-mergeable pairs + merged (composite) measures,
+//                        every position in global order
+// With S == 1 there are no shard lanes: the sequential lane holds every
+// pair, which is the pre-pipeline engine exactly.
 
 #pragma once
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/engine.h"
@@ -34,8 +43,35 @@
 #include "measures/measure.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace deepbase {
+
+/// \brief Where a (measure, hypothesis) pair runs in the block loop.
+enum class LaneKind {
+  kMergedComposite,  // in a model-merged composite (§5.2.1): sequential lane
+  kShard,       // own state, replicated per shard lane and merged (S > 1)
+  kSequential,  // own state without merge support: sequential lane
+};
+
+struct LaneDecision {
+  LaneKind kind = LaneKind::kSequential;
+  /// The pair's own state's merge exactness (kNone for merged composites).
+  MergeExactness exactness = MergeExactness::kNone;
+};
+
+/// \brief The lane decision for one (measure, hypothesis) pair: the one
+/// rule the pipeline executes and the coordinator and EXPLAIN predict.
+LaneDecision DecideLane(const MeasureFactory& factory,
+                        const HypothesisFn& hypothesis,
+                        const InspectOptions& options);
+
+/// \brief True when a job can be sliced over workers at `total_shards`:
+/// a materialized run with at least 2 shards whose every pair rides the
+/// shard lanes (BlockPipeline::RestrictShards accepts it).
+bool Sliceable(const std::vector<MeasureFactoryPtr>& measures,
+               const std::vector<HypothesisPtr>& hypotheses,
+               const InspectOptions& options, size_t total_shards);
 
 /// \brief Incremental state for one (model, group, measure, hypothesis)
 /// pair. `measure` is the primary (shard-0) state; `replicas[s]` (s >= 1)
@@ -47,20 +83,11 @@ struct PipelinePair {
   std::vector<std::unique_ptr<Measure>> replicas;  // [0] unused (= primary)
   double epsilon = 0;
   bool shardable = false;
-  /// Sequential-lane convergence flag (also the S == 1 flag).
+  /// Sequential-lane convergence flag.
   bool converged = false;
   /// Per-shard convergence flags (bytes, not vector<bool>: shards write
   /// their own element concurrently).
   std::vector<unsigned char> shard_converged;
-
-  bool FullyConverged() const {
-    if (!shardable) return converged;
-    if (shard_converged.empty()) return converged;
-    for (unsigned char c : shard_converged) {
-      if (!c) return false;
-    }
-    return true;
-  }
 };
 
 /// \brief Incremental state for one merged (composite-model) measure over
@@ -87,7 +114,8 @@ class BlockPipeline {
   struct Totals {
     /// One entry per shard lane; when a sequential lane ran (non-mergeable
     /// or merged measures present at S > 1), one extra trailing entry
-    /// carries it. With S == 1 there is exactly one entry.
+    /// carries it. With S == 1 there is exactly one entry: the sequential
+    /// lane.
     std::vector<RuntimeStats::Shard> lanes;
     size_t num_shards = 1;
     size_t blocks_processed = 0;   // block-inspection dispatches (see engine.h)
@@ -137,9 +165,9 @@ class BlockPipeline {
   /// handed out through TakeShardStates() instead. Because the block→shard
   /// map and per-shard consumption order are unchanged, a worker's shard-s
   /// state is bit-identical to the in-process shard-s replica for the same
-  /// (seed, num_shards). Must be called before Run(). Fails for streaming
-  /// runs, S == 1, or when sequential-lane work is present (the cluster
-  /// pins such jobs to a single worker as a whole job instead).
+  /// (seed, num_shards). Must be called before Run(). Fails unless the job
+  /// is Sliceable() (the cluster pins other jobs to a single worker as a
+  /// whole job instead).
   Status RestrictShards(size_t shard_lo, size_t shard_hi);
 
   /// \brief Move out the owned range's partial states, one per pairs()
@@ -179,6 +207,26 @@ class BlockPipeline {
     std::vector<std::vector<size_t>> tag;  // serial + 1; 0 = empty
   };
 
+  /// One wave of the block loop: `blocks` sit at pass positions
+  /// first_pos, first_pos + 1, ... and are swept `sweeps` times in order
+  /// (a materialized run hands every pass over as one wave). The first
+  /// `skip` dispatches of the first sweep already ran (calibration).
+  struct Wave {
+    std::span<const BlockData> blocks;
+    size_t first_pos = 0;
+    size_t sweeps = 1;
+    size_t skip = 0;
+  };
+
+  /// Block-source cursor (see NextWave).
+  struct Source {
+    BlockIterator it;  // the current pass's shuffle
+    std::vector<BlockData> blocks;  // the current wave's extractions
+    size_t pass = 0;
+    size_t pos = 0;     // next block's position within its pass
+    size_t serial = 0;  // blocks extracted so far (= dispatches, streaming)
+  };
+
   bool CancelRequested() const;
   bool OverBudget(const Stopwatch& watch) const;
   /// True once options_.deadline has passed; latches deadline_hit_ so the
@@ -188,7 +236,7 @@ class BlockPipeline {
   /// Bump the live progress sink (InspectOptions::progress) by one block
   /// dispatch. Called from whichever lane dispatches the block, so it is
   /// relaxed-atomic; progress counts each block once per pass (the shard
-  /// lanes' dispatch set), never the sequential lane's re-reads.
+  /// lanes' dispatch set, or the sequential lane's when no pair shards).
   void TickProgress(size_t records) const;
 
   LaneScratch MakeScratch() const;
@@ -203,22 +251,40 @@ class BlockPipeline {
   void InspectShardBlock(const BlockData& data, size_t shard,
                          LaneScratch* scratch);
   /// Feed one block to the sequential-lane states (non-shardable pairs and
-  /// merged measures); with `include_shardable_primary`, also the primaries
-  /// (S == 1 single lane and the per-pass calibration block).
-  void InspectSequentialBlock(const BlockData& data, LaneScratch* scratch,
-                              bool include_shardable_primary);
-  bool SequentialLaneConverged() const;
-  bool ShardLaneConverged(size_t shard) const;
+  /// merged measures).
+  void InspectSequentialBlock(const BlockData& data, LaneScratch* scratch);
+  /// Early-stopping test for one measure state.
+  bool Converged(const Measure& measure, double epsilon) const;
+  /// True when every state lane `lane` feeds has converged.
+  bool LaneConverged(size_t lane) const;
 
   void EnsureReplicas();
   void MergeReplicas();
 
-  void RunSingleLane(const Stopwatch& watch, Totals* totals);
-  void RunShardedMaterialized(const Stopwatch& watch, Totals* totals);
-  void RunShardedStreaming(const Stopwatch& watch, Totals* totals);
+  /// Shard lanes of the run (0 at S == 1); the sequential lane, when
+  /// present, follows them in Totals::lanes.
+  size_t ShardLanes() const { return num_shards_ > 1 ? num_shards_ : 0; }
+  /// The shard lane owning pass position `pos` (0 at S == 1).
+  size_t LaneOf(size_t pos) const {
+    return pos == 0 ? 0 : (pos - 1) % num_shards_;
+  }
+  /// The pipeline's trace context; disabled (no spans) when `on` is false.
+  TraceContext Trace(bool on) const {
+    return {on ? options_.tracer : nullptr, options_.trace_parent_span};
+  }
+
+  /// Block source: extract the next wave into `src` (billing extraction to
+  /// the owning lanes); false once the run has no more blocks to dispatch.
+  bool NextWave(const Stopwatch& watch, Source* src, Wave* wave,
+                Totals* totals);
+  /// Lane body: lane `lane`'s share of `wave` (shard lanes their own
+  /// positions, the sequential lane every position).
+  void RunLane(size_t lane, const Wave& wave, const Stopwatch& watch,
+               LaneScratch* scratch, RuntimeStats::Shard* acc);
 
   const std::vector<ModelSpec>& models_;
   const Dataset& dataset_;
+  const std::vector<MeasureFactoryPtr>& scores_;
   const std::vector<HypothesisPtr>& hypotheses_;
   const InspectOptions& options_;
 
@@ -239,7 +305,7 @@ class BlockPipeline {
     return !sliced_ || (shard >= slice_lo_ && shard < slice_hi_);
   }
   bool OwnsBlock(size_t block) const {
-    return block == 0 || OwnsShard((block - 1) % num_shards_);
+    return block == 0 || OwnsShard(LaneOf(block));
   }
 
   size_t num_shards_ = 1;

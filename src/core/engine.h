@@ -64,6 +64,10 @@ struct ProgressCounter {
   std::atomic<uint64_t> records_done{0};
 };
 
+/// \brief Upper bound on a job's effective shard count (replica memory is
+/// linear in shards); see InspectOptions::num_shards.
+inline constexpr size_t kMaxShards = 64;
+
 /// \brief Engine configuration (defaults = full DeepBase, paper §6.2).
 struct InspectOptions {
   size_t block_size = 512;
@@ -137,9 +141,9 @@ struct InspectOptions {
   /// measures, FP-rounding-exact for moment sums), and non-mergeable
   /// (SGD-trained) measures run on a sequential lane in global block
   /// order. Pin num_shards explicitly when bitwise reproducibility across
-  /// machines matters. Values above 64 are clamped (with a warning): the
-  /// effective, clamped count is what keys the determinism contract and
-  /// is reported in RuntimeStats::num_shards.
+  /// machines matters. Values above kMaxShards are clamped (with a
+  /// warning): the effective, clamped count is what keys the determinism
+  /// contract and is reported in RuntimeStats::num_shards.
   size_t num_shards = 0;
 
   /// Worker pool shared by extraction fan-out and shard lanes. Typically

@@ -20,6 +20,7 @@
 
 #include "cluster/partition.h"
 #include "core/behavior_store.h"
+#include "core/block_pipeline.h"
 #include "core/inspect_parser.h"
 #include "service/scheduler.h"
 #include "tensor/matrix_store.h"
@@ -205,32 +206,6 @@ bool WireEncodable(const InspectRequest& request) {
   return true;
 }
 
-// The coordinator's sliceability predicate, verbatim (DistributedRun):
-// non-streaming, >= 2 shards, and every (measure, hypothesis) pair can
-// merge without drift — no merged composites, no kNone measures.
-bool ClusterSliceable(const InspectPlan& compiled, uint32_t total_shards) {
-  bool sliceable = !compiled.options.streaming && total_shards >= 2;
-  for (const MeasureFactoryPtr& factory : compiled.measures) {
-    if (!sliceable) break;
-    for (const HypothesisPtr& hyp : compiled.hypotheses) {
-      if (compiled.options.model_merging && factory->mergeable() &&
-          hyp->num_classes() == 2) {
-        sliceable = false;
-        break;
-      }
-      std::unique_ptr<Measure> probe = factory->Create(1, hyp->num_classes());
-      if (probe == nullptr ||
-          probe->merge_exactness() == MergeExactness::kNone) {
-        sliceable = false;
-        break;
-      }
-    }
-  }
-  return sliceable;
-}
-
-constexpr uint32_t kMaxClusterShards = 64;  // coordinator.cc kMaxShards
-
 // ---------------------------------------------------------------------------
 // Plan assembly (the dry-run half of EXPLAIN).
 // ---------------------------------------------------------------------------
@@ -400,17 +375,12 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
       int worst = 3;
       bool any = false;
       for (const HypothesisPtr& hyp : compiled.hypotheses) {
-        if (options.model_merging && factory->mergeable() &&
-            hyp->num_classes() == 2) {
+        const LaneDecision lane = DecideLane(*factory, *hyp, options);
+        if (lane.kind == LaneKind::kMergedComposite) {
           merged_composite = true;
           continue;
         }
-        std::unique_ptr<Measure> probe_m =
-            factory->Create(1, hyp->num_classes());
-        worst = std::min(
-            worst, probe_m == nullptr
-                       ? 0
-                       : ExactnessRank(probe_m->merge_exactness()));
+        worst = std::min(worst, ExactnessRank(lane.exactness));
         any = true;
       }
       if (merged_composite) {
@@ -441,8 +411,9 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
       uint32_t total_shards =
           options.num_shards > 0 ? static_cast<uint32_t>(options.num_shards)
                                  : cluster.total_shards;
-      total_shards = std::min(total_shards, kMaxClusterShards);
-      const bool sliceable = ClusterSliceable(compiled, total_shards);
+      total_shards = std::min<uint32_t>(total_shards, kMaxShards);
+      const bool sliceable = Sliceable(compiled.measures, compiled.hypotheses,
+                                       compiled.options, total_shards);
       node.Add("", sliceable ? "dispatch (sliced)" : "dispatch (whole job)");
       node.Add("workers", JoinNames(cluster.live_workers));
       node.Add("total_shards", std::to_string(sliceable ? total_shards : 1));

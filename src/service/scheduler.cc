@@ -210,7 +210,7 @@ size_t ResolvedShardCountFor(const InspectOptions& options,
                  ? config.num_threads
                  : std::max<size_t>(1, std::thread::hardware_concurrency());
   }
-  return std::min<size_t>(std::max<size_t>(shards, 1), 64);
+  return std::min<size_t>(std::max<size_t>(shards, 1), kMaxShards);
 }
 
 std::optional<uint64_t> InspectRequestFingerprint(

@@ -661,6 +661,52 @@ TEST(ClusterEndToEndTest, WorkerKilledMidJobIsReplacedAndTableIsIdentical) {
   coordinator.Shutdown();
 }
 
+TEST(ClusterEndToEndTest, TwoPassSlicedJobMatchesLocalShardedRun) {
+  // Slice mode x passes > 1: each worker re-sweeps its owned shards'
+  // blocks on pass 1 (shard 0's owner re-plays block 0), and the merged
+  // table equals the in-process run at the same shard count.
+  World local;
+  std::vector<InspectRequest> requests = {ExactRequest(), PearsonRequest()};
+  std::vector<std::string> reference_bytes;
+  for (InspectRequest& request : requests) {
+    request.options->passes = 2;
+    Result<ResultTable> reference = local.session.Inspect(request);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_FALSE(reference->rows().empty());
+    reference_bytes.push_back(reference->SerializeToString());
+  }
+
+  World coord_world;
+  cluster::CoordinatorConfig config;
+  config.total_shards = 4;
+  config.install_engine = false;
+  cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+  ASSERT_TRUE(coordinator.Start().ok());
+  std::vector<std::unique_ptr<World>> worlds;
+  std::vector<std::unique_ptr<cluster::InspectionWorker>> workers;
+  for (int i = 0; i < 2; ++i) {
+    worlds.push_back(std::make_unique<World>());
+    workers.push_back(std::make_unique<cluster::InspectionWorker>(
+        &worlds.back()->session,
+        cluster::WorkerConfig{.worker_id = "w-" + std::to_string(i),
+                              .coordinator_port = coordinator.port()}));
+    ASSERT_TRUE(workers.back()->Connect().ok());
+  }
+  ASSERT_TRUE(WaitForWorkers(coordinator, 2));
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    RuntimeStats stats;
+    Result<ResultTable> result = coordinator.DistributedRun(
+        requests[i], coord_world.session.default_options(), &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->SerializeToString(), reference_bytes[i]);
+  }
+  EXPECT_EQ(coordinator.stats().jobs_sliced, requests.size());
+  EXPECT_EQ(coordinator.stats().jobs_failed, 0u);
+  for (auto& worker : workers) worker->Shutdown();
+  coordinator.Shutdown();
+}
+
 TEST(ClusterEndToEndTest, SequentialLaneJobsPinWholeToOneWorker) {
   // Spearman has no mergeable state → the job cannot slice; it is pinned
   // whole to a single worker, which returns the full serialized table.

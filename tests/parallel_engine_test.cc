@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/engine.h"
 #include "core/extractors.h"
@@ -296,7 +298,14 @@ TEST(ParallelEngineTest, StreamingShardsMatchSequential) {
   ExpectTablesEqual(seq, par);
 }
 
-TEST(ParallelEngineTest, MultiPassMaterializedShardsMatchSequential) {
+// Multi-pass runs at S shards, materialized and streaming (streaming
+// re-extracts every pass, so shard lane 0 takes each later pass's
+// position 0).
+class MultiPassShardsTest
+    : public ::testing::TestWithParam<std::tuple<bool, size_t>> {};
+
+TEST_P(MultiPassShardsTest, MultiPassShardsMatchSequential) {
+  const auto [streaming, num_shards] = GetParam();
   SyntheticExtractor ex;
   Dataset ds = MakeAbDataset(64);
   std::vector<ModelSpec> models = MakeModels(&ex);
@@ -304,16 +313,60 @@ TEST(ParallelEngineTest, MultiPassMaterializedShardsMatchSequential) {
   std::vector<MeasureFactoryPtr> measures = AllMeasures();
 
   InspectOptions seq_opts = BaseOptions();
-  seq_opts.streaming = false;
+  seq_opts.streaming = streaming;
   seq_opts.passes = 2;
   seq_opts.num_shards = 1;
   ResultTable seq = Inspect(models, ds, measures, hyps, seq_opts);
 
   InspectOptions par_opts = seq_opts;
-  par_opts.num_shards = 4;
+  par_opts.num_shards = num_shards;
   ResultTable par = Inspect(models, ds, measures, hyps, par_opts);
 
   ExpectTablesEqual(seq, par);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StreamingAndShards, MultiPassShardsTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(size_t{2}, size_t{3}, size_t{4})));
+
+// A max_blocks cap against S = 1: 3 blocks per pass make the 2-pass
+// streaming cap cut a wave short (pass 1's second wave), 7 blocks make the
+// cap truncate materialized extraction mid-pass. Tables and dispatch
+// counts must match the sequential run in every configuration.
+TEST(ParallelEngineTest, MaxBlocksCapMatchesSequential) {
+  SyntheticExtractor ex;
+  std::vector<ModelSpec> models = MakeModels(&ex);
+  std::vector<HypothesisPtr> hyps = MakeHypotheses();
+  std::vector<MeasureFactoryPtr> measures = AllMeasures();
+  for (size_t records : {size_t{24}, size_t{56}}) {
+    Dataset ds = MakeAbDataset(records);
+    for (bool streaming : {false, true}) {
+      for (size_t passes : {size_t{1}, size_t{2}}) {
+        InspectOptions seq_opts = BaseOptions();
+        seq_opts.streaming = streaming;
+        seq_opts.passes = passes;
+        seq_opts.max_blocks = 5;
+        seq_opts.num_shards = 1;
+        RuntimeStats seq_stats;
+        ResultTable seq =
+            Inspect(models, ds, measures, hyps, seq_opts, &seq_stats);
+        for (size_t num_shards : {size_t{2}, size_t{4}}) {
+          SCOPED_TRACE("records=" + std::to_string(records) +
+                       " streaming=" + std::to_string(streaming) +
+                       " passes=" + std::to_string(passes) +
+                       " shards=" + std::to_string(num_shards));
+          InspectOptions par_opts = seq_opts;
+          par_opts.num_shards = num_shards;
+          RuntimeStats par_stats;
+          ResultTable par =
+              Inspect(models, ds, measures, hyps, par_opts, &par_stats);
+          ExpectTablesEqual(seq, par);
+          EXPECT_EQ(par_stats.blocks_processed, seq_stats.blocks_processed);
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelEngineTest, ShardedRunsAreDeterministic) {

@@ -190,6 +190,18 @@ done
 grep -q "^ROWS" "$BASELINE_OUT" || {
   echo "cluster baseline run produced no rows"; cat "$CLUSTER_LOG"; exit 1
 }
+# EXPLAIN ANALYZE over the live cluster: the plan predicts the dispatch
+# and no planned field diverges from the run ("!!" marks a divergence).
+EXPLAIN_OUT="$("$BUILD_DIR/examples/inspect_client" --port "$CLIENT_PORT" \
+    --measure jaccard --explain --analyze)"
+grep -q "cluster: dispatch" <<<"$EXPLAIN_OUT" || {
+  echo "cluster EXPLAIN ANALYZE planned no dispatch"; echo "$EXPLAIN_OUT"
+  exit 1
+}
+if grep -q "!!" <<<"$EXPLAIN_OUT"; then
+  echo "cluster EXPLAIN ANALYZE diverged from the run"; echo "$EXPLAIN_OUT"
+  exit 1
+fi
 # Worker 2: stalls each assignment (failure-injection hook), so the kill
 # below always lands mid-job while its block range is still in flight.
 "$BUILD_DIR/examples/inspect_worker" --port "$CLUSTER_PORT" --id w2 \

@@ -54,6 +54,12 @@ Clock::duration Seconds(double s) {
       std::chrono::duration<double>(s));
 }
 
+/// Rendezvous key of a whole-job assignment: stable across repeats, so
+/// the chosen worker's behavior store warms up.
+std::string WholeJobKey(const InspectRequest& request) {
+  return "job:" + request.dataset_name;
+}
+
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(InspectionSession* session,
@@ -130,21 +136,7 @@ Status ClusterCoordinator::Start() {
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   monitor_thread_ = std::thread([this] { MonitorLoop(); });
   if (config_.install_engine) {
-    session_->scheduler().SetEngine(
-        [this](const InspectRequest& request,
-               const InspectOptions& default_options, RuntimeStats* stats) {
-          return DistributedRun(request, default_options, stats);
-        });
-    // Feed the session's EXPLAIN layer: what this coordinator would do
-    // with the next job (shard default, degrade policy, live workers).
-    session_->SetClusterProbe([this] {
-      ClusterPlanProbe probe;
-      probe.active = true;
-      probe.total_shards = config_.total_shards;
-      probe.degrade_to_local = config_.degrade_to_local;
-      probe.live_workers = worker_ids();
-      return probe;
-    });
+    session_->scheduler().SetEngine(this);
   }
   return Status::OK();
 }
@@ -413,19 +405,30 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
   TraceContext trace{tracer, plan.options.trace_parent_span};
   DB_SPAN_NAMED(run_span, trace, "coord.run");
 
+  const EnginePlan dispatch = PlanDispatch(request, plan);
+  const bool sliceable = dispatch.dispatch == EnginePlan::Dispatch::kSliced;
+  // The request that runs, wherever it runs: every score-affecting option
+  // pinned, so the scores depend only on (seed, dispatch.shards), never on
+  // worker count, a worker's cores, or which worker ran which range.
+  InspectRequest pinned_request = request;
+  InspectOptions pinned = plan.options;
+  pinned.num_shards = dispatch.shards;
+  if (sliceable) pinned.model_merging = false;  // worker pair order == merge
+  pinned_request.options = pinned;
+  auto run_local = [&] {
+    return RunInspectRequest(pinned_request, session_->catalog(),
+                             default_options, stats);
+  };
+
   // Requests holding inline pointers (extractors, datasets, hypothesis or
   // measure objects) have no identity across the wire; run them on the
   // local engine instead of failing them.
-  {
-    wire::Writer probe;
-    if (!wire::EncodeInspectRequest(request, &probe).ok()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.jobs_local_fallback;
-      }
-      return RunInspectRequest(request, session_->catalog(), default_options,
-                               stats);
+  if (dispatch.dispatch == EnginePlan::Dispatch::kInlineFallback) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.jobs_local_fallback;
     }
+    return run_local();
   }
 
   // Availability rescue: a kUnavailable outcome (quorum loss, attempts
@@ -441,8 +444,7 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.jobs_degraded_local;
       }
-      return RunInspectRequest(request, session_->catalog(), default_options,
-                               stats);
+      return run_local();
     }
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.jobs_failed;
@@ -454,33 +456,6 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
     if (!fp.ok()) return fail_or_degrade(fp);
   }
 
-  // Effective shard count: the job's own pin wins; otherwise the cluster
-  // default. Clamped exactly as the worker pipeline clamps, because the
-  // clamped value keys the determinism contract.
-  uint32_t total_shards =
-      plan.options.num_shards > 0
-          ? static_cast<uint32_t>(plan.options.num_shards)
-          : config_.total_shards;
-  total_shards = std::min<uint32_t>(total_shards, kMaxShards);
-
-  // Sliced iff the pipeline's own lane decision puts every pair on a
-  // shard lane (exact-merging states, no sequential-lane work); streaming
-  // runs, S < 2, SGD measures and model-merged composites pin the whole
-  // job to one worker instead.
-  const bool sliceable =
-      Sliceable(plan.measures, plan.hypotheses, plan.options, total_shards);
-
-  // The request that travels: pin every score-affecting option so the
-  // scores depend only on (seed, total_shards), never on worker count or
-  // which worker ran which range.
-  InspectRequest wire_request = request;
-  InspectOptions pinned = plan.options;
-  if (sliceable) {
-    pinned.num_shards = total_shards;
-    pinned.model_merging = false;  // keeps worker pair order == merge order
-  }
-  wire_request.options = pinned;
-
   // Plan the assignments.
   auto run = std::make_shared<RunState>();
   uint64_t run_id = 0;
@@ -490,8 +465,7 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       ++stats_.jobs_failed;
       return Status::Unavailable("coordinator is shutting down");
     }
-    const size_t live = LiveWorkersLocked().size();
-    if (live == 0) {
+    if (dispatch.dispatch == EnginePlan::Dispatch::kNoWorkers) {
       lock.unlock();  // fail_or_degrade takes mu_ (and may run locally)
       return fail_or_degrade(
           Status::Unavailable("no live workers registered"));
@@ -499,15 +473,13 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
     run_id = next_run_id_++;
     if (sliceable) {
       ++stats_.jobs_sliced;
-      const std::vector<ShardRange> ranges =
-          MakeShardRanges(total_shards, static_cast<uint32_t>(live));
-      for (const ShardRange& range : ranges) {
+      for (const auto& [lo, hi] : dispatch.ranges) {
         wire::AssignmentWire aw;
         aw.assignment_id = next_assignment_id_++;
         aw.mode = wire::AssignmentWire::Mode::kSliced;
-        aw.total_shards = total_shards;
-        aw.shard_lo = range.lo;
-        aw.shard_hi = range.hi;
+        aw.total_shards = static_cast<uint32_t>(dispatch.shards);
+        aw.shard_lo = lo;
+        aw.shard_hi = hi;
         // Pre-allocate the dispatch span: its id is baked into the cached
         // payload (the worker parents its root to it), and the span itself
         // is recorded once the assignment resolves.
@@ -515,13 +487,13 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
           aw.trace_id = tracer->trace_id();
           aw.parent_span = NewSpanId();
         }
-        aw.request = wire_request;
+        aw.request = pinned_request;
         wire::Writer w;
         const Status st = wire::EncodeAssignment(aw, &w);
-        DB_DCHECK(st.ok());  // encodability was probed above
+        DB_DCHECK(st.ok());  // the plan checked remotability
         Assignment a;
         a.id = aw.assignment_id;
-        a.shard_lo = range.lo;
+        a.shard_lo = lo;
         a.dispatch_span = aw.parent_span;
         a.payload = w.Take();
         a.retry_at = Clock::now();
@@ -539,7 +511,7 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
         aw.trace_id = tracer->trace_id();
         aw.parent_span = NewSpanId();
       }
-      aw.request = wire_request;
+      aw.request = pinned_request;
       wire::Writer w;
       const Status st = wire::EncodeAssignment(aw, &w);
       DB_DCHECK(st.ok());
@@ -645,8 +617,7 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
         if (run->assignments.size() == 1 && !sliceable) {
           std::vector<std::string> ids;
           for (const auto& worker : live) ids.push_back(worker->id);
-          const std::string chosen =
-              PlaceKey("job:" + wire_request.dataset_name, ids);
+          const std::string chosen = PlaceKey(WholeJobKey(request), ids);
           for (const auto& worker : live) {
             if (worker->id == chosen) target = worker;
           }
@@ -800,13 +771,46 @@ Result<ResultTable> ClusterCoordinator::DistributedRun(
       stats->records_processed += a.result.records_processed;
       all_converged = all_converged && a.result.all_converged != 0;
     }
-    stats->num_shards = sliceable ? total_shards : 1;
+    stats->num_shards = dispatch.shards;
     stats->all_converged = all_converged;
     stats->merge_s = merge_watch.Seconds();
     stats->worker_hop_s = worker_hop_s;
     stats->total_s = watch.Seconds();
   }
   return table;
+}
+
+size_t ClusterCoordinator::Shards(const InspectOptions& options) const {
+  return ResolveShards(options.num_shards, config_.total_shards);
+}
+
+EnginePlan ClusterCoordinator::PlanDispatch(
+    const InspectRequest& request, const InspectPlan& compiled) const {
+  EnginePlan plan;
+  plan.shards = Shards(compiled.options);
+  plan.degrade_to_local = config_.degrade_to_local;
+  plan.live_workers = worker_ids();
+  if (!wire::CheckRemotable(request).ok()) {
+    plan.dispatch = EnginePlan::Dispatch::kInlineFallback;
+  } else if (plan.live_workers.empty()) {
+    plan.dispatch = EnginePlan::Dispatch::kNoWorkers;
+  } else if (Sliceable(compiled.measures, compiled.hypotheses,
+                       compiled.options, plan.shards)) {
+    // Sliced iff the pipeline's own lane decision puts every pair on a
+    // shard lane (exact-merging states, no sequential-lane work);
+    // streaming runs, S < 2, SGD measures and model-merged composites pin
+    // the whole job to one worker instead.
+    plan.dispatch = EnginePlan::Dispatch::kSliced;
+    for (const ShardRange& range : MakeShardRanges(
+             static_cast<uint32_t>(plan.shards),
+             static_cast<uint32_t>(plan.live_workers.size()))) {
+      plan.ranges.emplace_back(range.lo, range.hi);
+    }
+  } else {
+    plan.dispatch = EnginePlan::Dispatch::kWhole;
+    plan.placement = PlaceKey(WholeJobKey(request), plan.live_workers);
+  }
+  return plan;
 }
 
 Result<ResultTable> ClusterCoordinator::MergeSliced(const InspectPlan& plan,
@@ -895,7 +899,6 @@ void ClusterCoordinator::Shutdown() {
   if (!running_.load(std::memory_order_acquire)) return;
   if (config_.install_engine) {
     session_->scheduler().SetEngine(nullptr);
-    session_->SetClusterProbe(nullptr);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -21,8 +21,14 @@
 //
 // Determinism: the shard partition depends only on (total_shards, live
 // worker count); scores depend only on (shuffle seed, total_shards) —
-// the coordinator pins num_shards into every assignment, so the *same
-// table* comes back however many workers share the work.
+// the coordinator pins its resolved shard count into every assignment,
+// sliced or whole, and into local fallback and degraded runs, so the
+// *same table* comes back however many workers (of however many cores)
+// share the work.
+//
+// Planning: PlanDispatch is the coordinator's one dispatch decision
+// (shard count, remotability, sliced vs whole, ranges, placement).
+// DistributedRun executes it and EXPLAIN renders it.
 //
 // Failure semantics: workers heartbeat; a missed-heartbeat or dead-socket
 // worker has its in-flight assignments reassigned to live workers with
@@ -71,9 +77,9 @@ struct CoordinatorConfig {
   /// 0 = ephemeral; the bound port is reported by port().
   uint16_t port = 0;
   int listen_backlog = 16;
-  /// Shard count pinned into jobs that did not pin their own
-  /// (InspectOptions::num_shards 0/1). This is the determinism key: a
-  /// job's scores depend on (seed, total_shards), never on worker count.
+  /// Shard count of jobs that did not pin their own
+  /// (InspectOptions::num_shards 0). This is the determinism key: a job's
+  /// scores depend on (seed, total_shards), never on worker count.
   uint32_t total_shards = 8;
   /// A worker this long without a heartbeat is declared dead and its
   /// assignments are reassigned.
@@ -115,11 +121,11 @@ struct CoordinatorStats {
 
 /// \brief The coordinator. The session is not owned and must outlive it;
 /// call Shutdown() (or destroy the coordinator) before the session dies.
-class ClusterCoordinator {
+class ClusterCoordinator : public InspectionEngine {
  public:
   explicit ClusterCoordinator(InspectionSession* session,
                               CoordinatorConfig config = {});
-  ~ClusterCoordinator();
+  ~ClusterCoordinator() override;
 
   ClusterCoordinator(const ClusterCoordinator&) = delete;
   ClusterCoordinator& operator=(const ClusterCoordinator&) = delete;
@@ -147,12 +153,25 @@ class ClusterCoordinator {
 
   CoordinatorStats stats() const;
 
-  /// \brief Execute one request on the cluster. This is the EngineFn the
+  /// \brief Execute one request on the cluster: the engine Run the
   /// scheduler calls (options already carry cancel/progress); exposed
   /// publicly so tests can drive it without a session round-trip.
   Result<ResultTable> DistributedRun(const InspectRequest& request,
                                      const InspectOptions& default_options,
                                      RuntimeStats* stats);
+
+  // --- InspectionEngine.
+  /// \brief The job's own num_shards, else total_shards (clamped).
+  size_t Shards(const InspectOptions& options) const override;
+  /// \brief The dispatch DistributedRun will execute for `request` with
+  /// the live workers right now.
+  EnginePlan PlanDispatch(const InspectRequest& request,
+                          const InspectPlan& compiled) const override;
+  Result<ResultTable> Run(const InspectRequest& request,
+                          const InspectOptions& default_options,
+                          RuntimeStats* stats) override {
+    return DistributedRun(request, default_options, stats);
+  }
 
  private:
   struct Worker {

@@ -23,23 +23,12 @@ double EpsilonFor(const MeasureFactory& factory, const InspectOptions& opts) {
   return opts.default_epsilon;
 }
 
-size_t ResolveShards(const InspectOptions& options) {
-  size_t shards = options.num_shards;
-  if (shards == 0) {
-    shards = options.pool != nullptr ? options.pool->num_threads() : 1;
-  }
-  if (shards > kMaxShards) {
-    // Clamping changes the effective shard count and therefore the
-    // (seed, shards)-keyed determinism contract — say so out loud.
-    DB_LOG(Warn) << "num_shards " << shards << " clamped to " << kMaxShards
-                 << " (see InspectOptions::num_shards); scores follow the "
-                 << "clamped count";
-    shards = kMaxShards;
-  }
-  return std::max<size_t>(shards, 1);
-}
-
 }  // namespace
+
+size_t ResolveShards(size_t num_shards, size_t default_shards) {
+  const size_t shards = num_shards != 0 ? num_shards : default_shards;
+  return std::clamp<size_t>(shards, 1, kMaxShards);
+}
 
 LaneDecision DecideLane(const MeasureFactory& factory,
                         const HypothesisFn& hypothesis,
@@ -83,7 +72,17 @@ BlockPipeline::BlockPipeline(const std::vector<ModelSpec>& models,
       scores_(scores),
       hypotheses_(hypotheses),
       options_(options) {
-  num_shards_ = ResolveShards(options);
+  num_shards_ = ResolveShards(options.num_shards,
+                              options.pool != nullptr
+                                  ? options.pool->num_threads()
+                                  : 1);
+  if (options.num_shards > kMaxShards) {
+    // Clamping changes the effective shard count and therefore the
+    // (seed, shards)-keyed determinism contract — say so out loud.
+    DB_LOG(Warn) << "num_shards " << options.num_shards << " clamped to "
+                 << kMaxShards << " (see InspectOptions::num_shards); "
+                 << "scores follow the clamped count";
+  }
   pool_ = options.pool;
   if (num_shards_ > 1 && pool_ == nullptr) {
     owned_pool_ =

@@ -66,6 +66,13 @@ LaneDecision DecideLane(const MeasureFactory& factory,
                         const HypothesisFn& hypothesis,
                         const InspectOptions& options);
 
+/// \brief The shard count a run uses: an explicit `num_shards` wins, 0
+/// takes `default_shards` (the attached pool's size for the pipeline, the
+/// cluster's total_shards for the coordinator), clamped to
+/// [1, kMaxShards]. The one resolution rule the pipeline executes and
+/// every engine plan predicts.
+size_t ResolveShards(size_t num_shards, size_t default_shards);
+
 /// \brief True when a job can be sliced over workers at `total_shards`:
 /// a materialized run with at least 2 shards whose every pair rides the
 /// shard lanes (BlockPipeline::RestrictShards accepts it).

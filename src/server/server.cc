@@ -281,6 +281,7 @@ void InspectionServer::WatchConnection(
         // result outside it so request dispatch on this connection never
         // stalls behind table serialization.
         job.result_sent = true;
+        ++conn->results_in_flight;
         FinishedJob done;
         done.handle = job.handle;
         done.submit_request_id = job.submit_request_id;
@@ -306,6 +307,7 @@ void InspectionServer::WatchConnection(
       stats_.results_sent += finished.size();
     }
     lock.lock();
+    conn->results_in_flight -= finished.size();
     // Bounded retention: delivered jobs stay probeable (late Poll/Wait)
     // up to the configured cap; beyond it the oldest delivered entries
     // are dropped so a long-lived client cannot pin unbounded tables.
@@ -794,7 +796,7 @@ void InspectionServer::Shutdown() {
       for (const auto& conn : conns_) {
         std::lock_guard<std::mutex> lock(conn->mu);
         if (conn->closing || conn->broken) continue;
-        if (conn->submits_in_progress > 0) {
+        if (conn->submits_in_progress > 0 || conn->results_in_flight > 0) {
           pending = true;
           break;
         }

@@ -143,6 +143,10 @@ class InspectionServer {
     /// draining check but has not yet registered its job cannot be torn
     /// down mid-flight.
     size_t submits_in_progress = 0;
+    /// Results the watcher has claimed (TrackedJob::result_sent) but not
+    /// yet written; the drain waits on these so it never closes the
+    /// socket under a result still being serialized.
+    size_t results_in_flight = 0;
     bool closing = false;
     bool broken = false;  ///< a send failed; stop pushing
   };

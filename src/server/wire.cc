@@ -223,7 +223,7 @@ void DecodeOptions(Reader* r, InspectOptions* o) {
 
 }  // namespace
 
-Status EncodeInspectRequest(const InspectRequest& request, Writer* w) {
+Status CheckRemotable(const InspectRequest& request) {
   // Only name-resolved requests can travel: a pointer has no identity in
   // another process.
   for (const InspectRequest::ModelRef& ref : request.models) {
@@ -250,6 +250,11 @@ Status EncodeInspectRequest(const InspectRequest& request, Writer* w) {
   if (request.dataset_name.empty()) {
     return Status::Invalid("remote requests must name a dataset");
   }
+  return Status::OK();
+}
+
+Status EncodeInspectRequest(const InspectRequest& request, Writer* w) {
+  DB_RETURN_NOT_OK(CheckRemotable(request));
   w->U32(static_cast<uint32_t>(request.models.size()));
   for (const InspectRequest::ModelRef& ref : request.models) {
     w->Str(ref.name);

@@ -136,9 +136,15 @@ Status WriteFrame(int fd, MsgType type, uint64_t request_id,
 void EncodeStatus(const Status& status, Writer* w);
 Status DecodeStatus(Reader* r);
 
-/// \brief The name-resolved InspectRequest subset that can travel.
-/// Rejects requests holding inline extractor/dataset/hypothesis/measure
-/// pointers (no stable identity across the wire).
+/// \brief OK when `request` can travel: every model, hypothesis set,
+/// measure and the dataset referenced by catalog name. Inline extractor/
+/// dataset/hypothesis/measure pointers have no identity in another
+/// process. The encoder, the coordinator's local fallback and its
+/// dispatch plan all ask this one check.
+Status CheckRemotable(const InspectRequest& request);
+
+/// \brief The name-resolved InspectRequest subset that can travel
+/// (rejects what CheckRemotable rejects).
 Status EncodeInspectRequest(const InspectRequest& request, Writer* w);
 bool DecodeInspectRequest(Reader* r, InspectRequest* request);
 

@@ -1,12 +1,11 @@
 // EXPLAIN / EXPLAIN ANALYZE implementation (see explain.h for the
-// contract). Plan assembly touches only side-effect-free probes:
-// Catalog::Compile (resolve-only), Scheduler::Probe, ResultCache::PeekTier
-// (via the probe), BehaviorStore::PeekTier, Histogram::Snap, and
-// InspectionSession::ProbeCluster — a dry run provably executes zero
-// blocks and moves zero counters. The cluster node mirrors the
-// coordinator's sliceability predicate and placement math verbatim
-// (src/cluster/coordinator.cc DistributedRun) so the rendered plan is the
-// plan, not an approximation of it.
+// contract). Plan assembly reads only what execution itself computes:
+// Catalog::Compile (resolve-only), Scheduler::Plan and Scheduler::Decide
+// (the JobPlan and DecideLocked that Submit runs), ResultCache::PeekTier,
+// the engine's PlanDispatch (the plan DistributedRun executes),
+// BehaviorStore::PeekTier and Histogram::Snap. A dry run executes zero
+// blocks and moves zero counters; the rendering holds no decision logic
+// of its own, so the plan cannot drift from the run.
 
 #include "service/explain.h"
 
@@ -18,7 +17,6 @@
 #include <memory>
 #include <utility>
 
-#include "cluster/partition.h"
 #include "core/behavior_store.h"
 #include "core/block_pipeline.h"
 #include "core/inspect_parser.h"
@@ -192,20 +190,6 @@ void CollectDivergences(const PlanNode& node, std::vector<std::string>* out) {
   for (const PlanNode& child : node.children) CollectDivergences(child, out);
 }
 
-// True when the request would survive wire::EncodeInspectRequest: every
-// definition referenced by catalog name, nothing inline. Mirrors the
-// codec's rejection rule so the cluster node can predict the
-// coordinator's inline fallback without a wire dependency.
-bool WireEncodable(const InspectRequest& request) {
-  if (request.dataset != nullptr) return false;
-  if (!request.hypotheses.empty()) return false;
-  if (!request.measures.empty()) return false;
-  for (const InspectRequest::ModelRef& m : request.models) {
-    if (m.extractor != nullptr || m.name.empty()) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Plan assembly (the dry-run half of EXPLAIN).
 // ---------------------------------------------------------------------------
@@ -216,8 +200,17 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
   const InspectOptions options =
       request.options.value_or(session->default_options());
   DB_ASSIGN_OR_RETURN(InspectPlan compiled, catalog.Compile(request, options));
-  const SchedulerProbe probe = session->scheduler().Probe(request);
-  const ClusterPlanProbe cluster = session->ProbeCluster();
+  Scheduler& scheduler = session->scheduler();
+  const JobPlan job = scheduler.Plan(request);
+  // Submit's order: the gate, then the cache, then dedup and quota.
+  const std::string cache_tier =
+      job.gate.ok() && job.cacheable
+          ? scheduler.result_cache().PeekTier(*job.fingerprint,
+                                              job.catalog_version,
+                                              job.dataset_fingerprint)
+          : "";
+  const JobDecision decision = scheduler.Decide(job);
+  const EnginePlan engine = scheduler.engine().PlanDispatch(request, compiled);
   BehaviorStore* store = session->store();
 
   InspectionPlan plan;
@@ -249,12 +242,18 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "admission";
-    node.Add("", probe.would_admit
-                     ? "admit"
-                     : "reject (" + probe.admission_detail + ")");
-    node.Add("est_queued_bytes", std::to_string(probe.estimated_queued_bytes));
-    node.Add("active_jobs", std::to_string(probe.active_jobs));
-    node.Add("queued_bytes", std::to_string(probe.queued_bytes));
+    if (!job.gate.ok()) {
+      node.Add("", "reject (" + job.gate.message() + ")");
+    } else if (!cache_tier.empty()) {
+      node.Add("", "bypassed (served from the result cache)");
+    } else if (decision.role == JobDecision::Role::kReject) {
+      node.Add("", "reject (" + decision.reject.message() + ")");
+    } else {
+      node.Add("", "admit");
+    }
+    node.Add("est_queued_bytes", std::to_string(job.queued_bytes));
+    node.Add("active_jobs", std::to_string(decision.active_jobs));
+    node.Add("queued_bytes", std::to_string(decision.queued_bytes));
     root.children.push_back(std::move(node));
   }
 
@@ -262,35 +261,35 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "cache";
-    if (!probe.fingerprint.has_value()) {
+    if (!job.fingerprint.has_value()) {
       node.Add("", "not cacheable (inline definitions have no fingerprint)");
-    } else if (!probe.cacheable) {
+    } else if (!job.cacheable) {
       node.Add("", "disabled");
-    } else if (probe.cache_tier == "memory") {
-      node.Add("", "hit (memory)");
-    } else if (probe.cache_tier == "persistent") {
-      node.Add("", "hit (persistent)");
-    } else if (!probe.deterministic) {
+    } else if (!job.gate.ok()) {
+      node.Add("", "not consulted (rejected at admission)");
+    } else if (!cache_tier.empty()) {
+      node.Add("", "hit (" + cache_tier + ")");
+    } else if (!job.deterministic) {
       node.Add("", "miss (volatile run; result will not be cached)");
     } else {
       node.Add("", "miss (will compute and admit)");
     }
-    if (probe.fingerprint.has_value()) {
-      node.Add("fingerprint", HexU64(*probe.fingerprint));
-      node.Add("catalog_version", std::to_string(probe.catalog_version));
+    if (job.fingerprint.has_value()) {
+      node.Add("fingerprint", HexU64(*job.fingerprint));
+      node.Add("catalog_version", std::to_string(job.catalog_version));
     }
     root.children.push_back(std::move(node));
   }
   {
     PlanNode node;
     node.name = "dedup";
-    if (!probe.fingerprint.has_value()) {
+    if (!job.fingerprint.has_value()) {
       node.Add("", "not dedupable (inline definitions have no fingerprint)");
-    } else if (!probe.deterministic) {
+    } else if (!job.deterministic) {
       node.Add("", "not dedupable (non-deterministic options)");
-    } else if (!probe.dedupable) {
+    } else if (!job.dedupable) {
       node.Add("", "disabled");
-    } else if (probe.dedup_inflight) {
+    } else if (decision.role == JobDecision::Role::kWaiter) {
       node.Add("", "attach as waiter on in-flight leader");
     } else {
       node.Add("", "leader (no identical job in flight)");
@@ -302,13 +301,13 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "shared-scan";
-    if (!probe.shared_scan_enabled) {
+    if (!job.shared_scan) {
       node.Add("", "disabled");
-    } else if (!probe.group_key.has_value()) {
+    } else if (!job.group_key.has_value()) {
       node.Add("", "no group (request does not resolve against the catalog)");
     } else {
-      node.Add("", probe.group_exists ? "join existing group" : "new group");
-      node.Add("group", *probe.group_key);
+      node.Add("", decision.group_exists ? "join existing group" : "new group");
+      node.Add("group", *job.group_key);
     }
     root.children.push_back(std::move(node));
   }
@@ -361,7 +360,7 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "partition";
-    node.Add("shards", std::to_string(probe.resolved_shard_count));
+    node.Add("shards", std::to_string(engine.shards));
     node.Add("block_size", std::to_string(options.block_size));
     node.Add("passes", std::to_string(options.passes));
     node.Add("streaming", options.streaming ? "on" : "off");
@@ -399,47 +398,44 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
   {
     PlanNode node;
     node.name = "cluster";
-    if (!cluster.active) {
-      node.Add("", "none (local engine)");
-    } else if (!WireEncodable(request)) {
-      node.Add("", "local fallback (inline definitions cannot cross the wire)");
-    } else if (cluster.live_workers.empty()) {
-      node.Add("", cluster.degrade_to_local
-                       ? "no live workers (will degrade to local engine)"
-                       : "no live workers (will fail kUnavailable)");
-    } else {
-      uint32_t total_shards =
-          options.num_shards > 0 ? static_cast<uint32_t>(options.num_shards)
-                                 : cluster.total_shards;
-      total_shards = std::min<uint32_t>(total_shards, kMaxShards);
-      const bool sliceable = Sliceable(compiled.measures, compiled.hypotheses,
-                                       compiled.options, total_shards);
-      node.Add("", sliceable ? "dispatch (sliced)" : "dispatch (whole job)");
-      node.Add("workers", JoinNames(cluster.live_workers));
-      node.Add("total_shards", std::to_string(sliceable ? total_shards : 1));
-      node.Add("degrade_to_local", cluster.degrade_to_local ? "on" : "off");
-      if (sliceable) {
-        const std::vector<cluster::ShardRange> ranges =
-            cluster::MakeShardRanges(
-                total_shards,
-                static_cast<uint32_t>(cluster.live_workers.size()));
-        for (const cluster::ShardRange& range : ranges) {
+    switch (engine.dispatch) {
+      case EnginePlan::Dispatch::kLocal:
+        node.Add("", "none (local engine)");
+        break;
+      case EnginePlan::Dispatch::kInlineFallback:
+        node.Add("",
+                 "local fallback (inline definitions cannot cross the wire)");
+        break;
+      case EnginePlan::Dispatch::kNoWorkers:
+        node.Add("", engine.degrade_to_local
+                         ? "no live workers (will degrade to local engine)"
+                         : "no live workers (will fail kUnavailable)");
+        break;
+      case EnginePlan::Dispatch::kSliced:
+      case EnginePlan::Dispatch::kWhole: {
+        const bool sliced = engine.dispatch == EnginePlan::Dispatch::kSliced;
+        node.Add("", sliced ? "dispatch (sliced)" : "dispatch (whole job)");
+        node.Add("workers", JoinNames(engine.live_workers));
+        node.Add("total_shards", std::to_string(sliced ? engine.shards : 1));
+        node.Add("degrade_to_local", engine.degrade_to_local ? "on" : "off");
+        for (const auto& [lo, hi] : engine.ranges) {
           PlanNode r;
           r.name = "range";
-          r.Add("shards", "[" + std::to_string(range.lo) + "," +
-                              std::to_string(range.hi) + ")");
+          r.Add("shards", "[" + std::to_string(lo) + "," +
+                              std::to_string(hi) + ")");
           // Sliced ranges spread round-robin over the sorted live set,
           // keyed by a global assignment id the plan cannot predict.
           r.Add("worker", "(round-robin)");
           node.children.push_back(std::move(r));
         }
-      } else {
-        PlanNode a;
-        a.name = "assignment";
-        a.Add("shards", "[0,1)");
-        a.Add("worker", cluster::PlaceKey("job:" + request.dataset_name,
-                                          cluster.live_workers));
-        node.children.push_back(std::move(a));
+        if (!sliced) {
+          PlanNode a;
+          a.name = "assignment";
+          a.Add("shards", "[0,1)");
+          a.Add("worker", engine.placement);
+          node.children.push_back(std::move(a));
+        }
+        break;
       }
     }
     root.children.push_back(std::move(node));
@@ -466,7 +462,7 @@ Result<InspectionPlan> BuildPlan(InspectionSession* session,
     Histogram* latency = MetricsRegistry::Global().GetHistogram(
         "deepbase_job_latency_seconds", DefaultLatencyBounds());
     const Histogram::Snapshot snap = latency->Snap();
-    if (!probe.cache_tier.empty()) {
+    if (!cache_tier.empty()) {
       node.Add("", "cache hit: zero engine phases expected");
     } else if (snap.count == 0) {
       node.Add("", "no job history");
@@ -537,14 +533,21 @@ void AnnotatePlan(InspectionPlan* plan, const Result<ResultTable>& result,
                                std::to_string(stats.blocks_total_planned));
   root.AddActual("records", std::to_string(stats.records_processed));
 
+  const bool actual_cache_hit = stats.result_cache_hits > 0;
+  // The job ran on the engine itself (not answered by the cache or an
+  // in-flight leader, not rejected): only then do engine actuals exist.
+  const bool engine_ran = result.ok() && !stats.cancelled &&
+                          !actual_cache_hit && stats.dedup_hits == 0;
+  auto verdict = [](const PlanNode& node) {
+    return node.fields.empty() ? std::string() : node.fields[0].second;
+  };
+
   if (PlanNode* admission = root.Child("admission")) {
     admission->AddActual("queue_s", FmtSeconds(summary.queue_s));
   }
 
-  const bool actual_cache_hit = stats.result_cache_hits > 0;
   if (PlanNode* cache = root.Child("cache")) {
-    const std::string predicted =
-        cache->fields.empty() ? "" : cache->fields[0].second;
+    const std::string predicted = verdict(*cache);
     cache->AddActual("hit", actual_cache_hit ? "yes" : "no");
     const bool predicted_hit = predicted.rfind("hit", 0) == 0;
     const bool predicted_miss = predicted.rfind("miss", 0) == 0;
@@ -586,12 +589,19 @@ void AnnotatePlan(InspectionPlan* plan, const Result<ResultTable>& result,
     partition->AddActual("merge_s", FmtSeconds(stats.merge_s));
     partition->AddActual("all_converged",
                          stats.all_converged ? "yes" : "no");
+    for (const auto& [key, value] : partition->fields) {
+      if (key == "shards" && engine_ran &&
+          value != std::to_string(stats.num_shards)) {
+        partition->divergences.push_back(
+            "planned " + value + " shards but ran " +
+            std::to_string(stats.num_shards));
+      }
+    }
   }
 
   if (PlanNode* cluster_node = root.Child("cluster")) {
-    const std::string predicted =
-        cluster_node->fields.empty() ? "" : cluster_node->fields[0].second;
-    const bool predicted_dispatch = predicted.rfind("dispatch", 0) == 0;
+    const bool predicted_dispatch =
+        verdict(*cluster_node).rfind("dispatch", 0) == 0;
     const std::vector<DispatchSpan> dispatches = ParseDispatchSpans(spans);
     if (predicted_dispatch) {
       cluster_node->AddActual("dispatches",
@@ -708,21 +718,6 @@ Result<InspectionPlan> InspectionSession::ExplainAnalyze(
   return plan;
 }
 
-void InspectionSession::SetClusterProbe(
-    std::function<ClusterPlanProbe()> probe) {
-  std::lock_guard<std::mutex> lock(cluster_probe_mu_);
-  cluster_probe_ = std::move(probe);
-}
-
-ClusterPlanProbe InspectionSession::ProbeCluster() const {
-  std::function<ClusterPlanProbe()> probe;
-  {
-    std::lock_guard<std::mutex> lock(cluster_probe_mu_);
-    probe = cluster_probe_;
-  }
-  return probe ? probe() : ClusterPlanProbe{};
-}
-
 // ---------------------------------------------------------------------------
 // Textual frontend.
 // ---------------------------------------------------------------------------
@@ -823,7 +818,11 @@ std::string RenderStatusz(InspectionSession* session, bool json) {
   const std::vector<JobHandle> jobs = session->Jobs();
   const SchedulerStats sched = session->scheduler().stats();
   BehaviorStore* store = session->store();
-  const ClusterPlanProbe cluster = session->ProbeCluster();
+  // No request to plan: an empty one dispatches nowhere, and the engine
+  // plan reports just the cluster membership.
+  const EnginePlan cluster = session->scheduler().engine().PlanDispatch(
+      InspectRequest{}, InspectPlan{});
+  const bool cluster_active = cluster.dispatch != EnginePlan::Dispatch::kLocal;
   const std::vector<std::string> armed = failpoint::ArmedSites();
 
   if (json) {
@@ -870,7 +869,7 @@ std::string RenderStatusz(InspectionSession* session, bool json) {
       out += "}";
     }
     out += ",\"cluster\":{\"active\":";
-    out += cluster.active ? "true" : "false";
+    out += cluster_active ? "true" : "false";
     out += ",\"workers\":[";
     for (size_t i = 0; i < cluster.live_workers.size(); ++i) {
       if (i > 0) out += ",";
@@ -922,8 +921,8 @@ std::string RenderStatusz(InspectionSession* session, bool json) {
            " mmap_hits=" + std::to_string(store->mmap_hits()) +
            " misses=" + std::to_string(store->misses()) + "\n";
   }
-  out += "  cluster: active=" + std::string(cluster.active ? "yes" : "no");
-  if (cluster.active) {
+  out += "  cluster: active=" + std::string(cluster_active ? "yes" : "no");
+  if (cluster_active) {
     out += " workers=" + JoinNames(cluster.live_workers);
   }
   out += "\n";

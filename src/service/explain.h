@@ -4,15 +4,18 @@
 // visible before the job runs, and reconciles it against what actually
 // happened after).
 //
-// An InspectionPlan is a tree of PlanNodes assembled from strictly
-// non-mutating probes (Scheduler::Probe, ResultCache::PeekTier,
-// BehaviorStore::PeekTier, InspectionSession::ProbeCluster): a dry-run
-// Explain() executes zero blocks and leaves every cache, counter, and
-// LRU byte-identical. ExplainAnalyze() runs the job through the normal
-// Submit path and annotates each node with actual phase seconds and
-// counters from RuntimeStats + the job's trace spans, flagging
-// plan-vs-actual divergences (a predicted cache hit that missed, a
-// cluster dispatch that degraded to local, reassigned shard ranges).
+// An InspectionPlan is a tree of PlanNodes rendered from the values
+// execution itself consumes: the scheduler's JobPlan (Scheduler::Plan)
+// and role decision (Scheduler::Decide, the DecideLocked that Submit
+// runs), ResultCache::PeekTier, the engine's PlanDispatch (the dispatch
+// ClusterCoordinator::DistributedRun executes) and BehaviorStore::PeekTier.
+// A dry-run Explain() executes zero blocks and leaves every cache,
+// counter, and LRU byte-identical. ExplainAnalyze() runs the job through
+// the normal Submit path and annotates each node with actual phase
+// seconds and counters from RuntimeStats + the job's trace spans,
+// flagging plan-vs-actual divergences (a predicted cache hit that
+// missed, a planned shard count the run did not use, a cluster dispatch
+// that degraded to local, reassigned shard ranges).
 //
 // Rendering is deterministic by contract: the same request against the
 // same session state renders byte-identical text (fixed-precision

@@ -244,18 +244,6 @@ class InspectQuery;
 class Scheduler;
 struct InspectionPlan;
 
-/// \brief What a cluster coordinator attached to this session would do
-/// with the next job — the cluster half of an EXPLAIN plan. Registered by
-/// ClusterCoordinator::Start (cleared on Shutdown) through
-/// InspectionSession::SetClusterProbe, so the service layer can render
-/// cluster placement without a layering cycle onto src/cluster.
-struct ClusterPlanProbe {
-  bool active = false;          ///< a coordinator engine is installed
-  uint32_t total_shards = 0;    ///< coordinator default shard count
-  bool degrade_to_local = false;
-  std::vector<std::string> live_workers;  ///< sorted live worker ids
-};
-
 /// \brief The facade. Thread-safe: Submit/Inspect may be called
 /// concurrently; jobs share the catalog, store, hypothesis cache, result
 /// cache, and the multi-query scheduler's shared scans.
@@ -325,14 +313,6 @@ class InspectionSession {
   Result<InspectionPlan> Explain(const InspectRequest& request);
   Result<InspectionPlan> ExplainAnalyze(const InspectRequest& request);
 
-  /// \brief Install (or clear, with nullptr) the cluster-coordinator
-  /// probe feeding EXPLAIN's placement plan. Called by
-  /// ClusterCoordinator::Start/Shutdown.
-  void SetClusterProbe(std::function<ClusterPlanProbe()> probe);
-  /// \brief Snapshot of the attached cluster (active = false when no
-  /// coordinator is installed).
-  ClusterPlanProbe ProbeCluster() const;
-
  private:
   friend class Scheduler;
 
@@ -358,9 +338,6 @@ class InspectionSession {
   mutable std::mutex jobs_mu_;
   uint64_t next_job_id_ = 1;
   std::vector<std::shared_ptr<internal::JobState>> jobs_;
-
-  mutable std::mutex cluster_probe_mu_;
-  std::function<ClusterPlanProbe()> cluster_probe_;  // guarded by ^
 };
 
 }  // namespace deepbase

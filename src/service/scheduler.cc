@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "core/behavior_store.h"
+#include "core/block_pipeline.h"
 #include "util/failpoint.h"
 #include "util/fnv.h"
 #include "util/logging.h"
@@ -126,21 +126,6 @@ void HashOptions(const InspectOptions& o, uint64_t* h) {
   HashPod(o.max_blocks, h);
 }
 
-/// Resolved dataset fingerprint of a request: the catalog's registration
-/// snapshot for named datasets, a live content hash for inline ones.
-std::optional<uint64_t> DatasetFingerprintFor(const InspectRequest& request,
-                                              const Catalog& catalog) {
-  if (request.dataset != nullptr) {
-    return DatasetFingerprint(*request.dataset);
-  }
-  if (!request.dataset_name.empty()) {
-    Result<CatalogDataset> entry = catalog.GetDataset(request.dataset_name);
-    if (!entry.ok()) return std::nullopt;
-    return entry->fingerprint;
-  }
-  return std::nullopt;
-}
-
 /// Parse the catalog-version field out of a "cache:<fp>:<version>:<ds>"
 /// blob key; false when the key is not a result-cache entry.
 bool ParseBlobKeyVersion(const std::string& key, uint64_t* version) {
@@ -180,8 +165,6 @@ Status CheckAdmissionDeadline(const InspectOptions& options) {
   return Status::OK();
 }
 
-}  // namespace
-
 // Only complete, deterministic runs are cacheable/dedupable: a cancelled
 // or budget-truncated result depends on wall-clock timing. A deadline is
 // the same hazard as a finite time budget (whether the run completes
@@ -193,28 +176,15 @@ bool DeterministicOptions(const InspectOptions& options) {
          options.deadline == std::chrono::steady_clock::time_point::max();
 }
 
-// Fingerprints hash this resolved value for early-stopping requests —
-// never the raw option: a raw 0 resolves per-session, so a persisted
-// result must not be served to a session whose engine would deal (and
-// therefore truncate) blocks differently.
-size_t ResolvedShardCountFor(const InspectOptions& options,
-                             const SessionConfig& config) {
-  size_t shards = options.num_shards;
-  if (shards == 0 && options.pool != nullptr) {
-    shards = options.pool->num_threads();
-  }
-  if (shards == 0) {
-    // The session pool the scheduler would attach (ThreadPool's own
-    // 0 = hardware-concurrency rule).
-    shards = config.num_threads != 0
-                 ? config.num_threads
-                 : std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  return std::min<size_t>(std::max<size_t>(shards, 1), kMaxShards);
-}
-
-std::optional<uint64_t> InspectRequestFingerprint(
-    const InspectRequest& request, const Catalog& catalog,
+/// Fingerprint of a fully catalog-resolved request plus the
+/// score-affecting option values; nullopt when the request is not
+/// cacheable (inline extractors / hypothesis / measure objects, or an
+/// unresolvable dataset). `options.num_shards` must hold the engine's
+/// resolved count: a raw 0 resolves per session, so a persisted result
+/// must not be served to a session whose engine would deal (and
+/// therefore truncate) blocks differently.
+std::optional<uint64_t> RequestFingerprint(
+    const InspectRequest& request, std::optional<uint64_t> dataset_fp,
     const InspectOptions& options) {
   // Cacheable requests are fully name-resolved: inline extractor,
   // hypothesis, or measure objects have no stable identity to key on.
@@ -238,7 +208,6 @@ std::optional<uint64_t> InspectRequestFingerprint(
   for (const std::string& set : request.hypothesis_sets) HashStr(set, &h);
   HashStr("|filter", &h);
   for (const std::string& name : request.hypothesis_filter) HashStr(name, &h);
-  std::optional<uint64_t> dataset_fp = DatasetFingerprintFor(request, catalog);
   if (!dataset_fp) return std::nullopt;
   HashPod(*dataset_fp, &h);
   HashStr("|measures", &h);
@@ -250,20 +219,20 @@ std::optional<uint64_t> InspectRequestFingerprint(
   return h;
 }
 
-std::optional<std::string> BatchKeyFor(const InspectRequest& request,
-                                       const Catalog& catalog,
-                                       const InspectOptions& options) {
+/// Batching key for shared-scan grouping: model ids + dataset fingerprint
+/// + the options that shape the block sequence. nullopt when a model or
+/// the dataset does not resolve (the job then runs solo and reports its
+/// own compile error). `extractors` are the request's resolved models.
+std::optional<std::string> BatchKey(
+    const InspectRequest& request,
+    const std::vector<const Extractor*>& extractors,
+    std::optional<uint64_t> dataset_fp, const InspectOptions& options) {
   if (request.models.empty()) return std::nullopt;
   std::string key;
-  for (const InspectRequest::ModelRef& ref : request.models) {
-    const Extractor* extractor = ref.extractor;
-    if (extractor == nullptr) {
-      if (ref.name.empty()) return std::nullopt;
-      Result<CatalogModel> entry = catalog.GetModel(ref.name);
-      if (!entry.ok() || entry->extractor == nullptr) return std::nullopt;
-      extractor = entry->extractor;
-    }
-    key += extractor->model_id();
+  for (size_t m = 0; m < request.models.size(); ++m) {
+    const InspectRequest::ModelRef& ref = request.models[m];
+    if (extractors[m] == nullptr) return std::nullopt;
+    key += extractors[m]->model_id();
     key += '@';
     // The unit-group footprint: blocks are keyed by the unit *union* in
     // the scan, so only jobs with identical footprints can share cached
@@ -281,7 +250,6 @@ std::optional<std::string> BatchKeyFor(const InspectRequest& request,
     key += std::to_string(gh);
     key += '|';
   }
-  std::optional<uint64_t> dataset_fp = DatasetFingerprintFor(request, catalog);
   if (!dataset_fp) return std::nullopt;
   key += std::to_string(*dataset_fp);
   // Scan-shaping options: jobs with different block sequences would never
@@ -296,6 +264,24 @@ std::optional<std::string> BatchKeyFor(const InspectRequest& request,
   key += std::to_string(options.passes);
   return key;
 }
+
+/// Rough extraction footprint of a request (dataset rows × unit count),
+/// the unit of the queued-bytes quota.
+size_t EstimateQueuedBytes(const std::vector<const Extractor*>& extractors,
+                           const Dataset* dataset) {
+  size_t units = 0;
+  for (const Extractor* extractor : extractors) {
+    if (extractor != nullptr) units += extractor->num_units();
+  }
+  const size_t symbols =
+      dataset != nullptr ? dataset->num_records() * dataset->ns() : 0;
+  const size_t estimate =
+      symbols * std::max<size_t>(units, 1) * sizeof(float);
+  // Unresolvable requests still occupy a queue slot; charge a floor.
+  return std::max<size_t>(estimate, size_t{1} << 10);
+}
+
+}  // namespace
 
 std::string ResultCacheBlobKey(uint64_t fingerprint, uint64_t version,
                                uint64_t dataset_fingerprint) {
@@ -506,7 +492,9 @@ Scheduler::Scheduler(InspectionSession* session)
     : session_(session),
       result_cache_(session->config_.result_cache_budget_bytes,
                     session->store_.get(),
-                    session->config_.persist_result_cache) {
+                    session->config_.persist_result_cache),
+      local_engine_(session),
+      engine_(&local_engine_) {
   if (session->store_ != nullptr && session->config_.persist_result_cache &&
       session->config_.result_cache_disk_quota_bytes > 0) {
     session->store_->SetBlobNamespaceQuota(
@@ -519,11 +507,7 @@ void Scheduler::OnCatalogMutation(uint64_t version) {
 }
 
 std::optional<Scheduler::GroupHandle> Scheduler::AttachToGroup(
-    const InspectRequest& request) {
-  if (!session_->config_.enable_shared_scan) return std::nullopt;
-  std::optional<std::string> key =
-      BatchKeyFor(request, session_->catalog_,
-                  request.options.value_or(session_->config_.options));
+    const std::optional<std::string>& key) {
   if (!key) return std::nullopt;
   GroupHandle handle;
   handle.key = *key;
@@ -555,30 +539,6 @@ void Scheduler::ReleaseGroup(GroupHandle* group) {
     groups_.erase(it);
   }
   group->scan.reset();
-}
-
-size_t Scheduler::EstimateQueuedBytes(const InspectRequest& request) const {
-  const Catalog& catalog = session_->catalog_;
-  size_t units = 0;
-  for (const InspectRequest::ModelRef& ref : request.models) {
-    const Extractor* extractor = ref.extractor;
-    if (extractor == nullptr && !ref.name.empty()) {
-      Result<CatalogModel> entry = catalog.GetModel(ref.name);
-      if (entry.ok()) extractor = entry->extractor;
-    }
-    if (extractor != nullptr) units += extractor->num_units();
-  }
-  const Dataset* dataset = request.dataset;
-  if (dataset == nullptr && !request.dataset_name.empty()) {
-    Result<CatalogDataset> entry = catalog.GetDataset(request.dataset_name);
-    if (entry.ok()) dataset = entry->dataset;
-  }
-  const size_t symbols =
-      dataset != nullptr ? dataset->num_records() * dataset->ns() : 0;
-  const size_t estimate =
-      symbols * std::max<size_t>(units, 1) * sizeof(float);
-  // Unresolvable requests still occupy a queue slot; charge a floor.
-  return std::max<size_t>(estimate, size_t{1} << 10);
 }
 
 void Scheduler::OnJobStarted(size_t queued_bytes) {
@@ -686,7 +646,8 @@ void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
         // or the leader's cancellation) to every remaining waiter.
         job->done = true;
         to_deliver.swap(job->waiters);
-        auto it = inflight_.find({job->fingerprint, job->version});
+        auto it =
+            inflight_.find({*job->plan.fingerprint, job->plan.catalog_version});
         if (it != inflight_.end() && it->second == job) inflight_.erase(it);
       }
     }
@@ -737,9 +698,8 @@ void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
     }
     RuntimeStats promoted_stats;
     Result<ResultTable> promoted_result =
-        Execute(job->request, AttachToGroup(job->request), job->fingerprint,
-                job->version, job->dataset_fingerprint, &promoted->cancel,
-                promoted->progress.get(), &promoted_stats,
+        Execute(job->request, job->plan, AttachToGroup(job->plan.group_key),
+                &promoted->cancel, promoted->progress.get(), &promoted_stats,
                 promoted_tracer.get(), promoted_root);
     pending.reset();
     if (promoted_stats.cancelled) {
@@ -767,9 +727,9 @@ void Scheduler::FinishInflight(const std::shared_ptr<InflightJob>& job,
   }
 }
 
-void Scheduler::SetEngine(EngineFn fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  engine_fn_ = std::move(fn);
+void Scheduler::SetEngine(InspectionEngine* engine) {
+  engine_.store(engine != nullptr ? engine : &local_engine_,
+                std::memory_order_release);
 }
 
 void Scheduler::FinalizeJob(const std::shared_ptr<internal::JobState>& state,
@@ -819,10 +779,8 @@ void Scheduler::FinalizeJob(const std::shared_ptr<internal::JobState>& state,
 }
 
 Result<ResultTable> Scheduler::Execute(const InspectRequest& request,
+                                       const JobPlan& plan,
                                        std::optional<GroupHandle> group,
-                                       std::optional<uint64_t> fingerprint,
-                                       uint64_t version,
-                                       uint64_t dataset_fingerprint,
                                        const std::atomic<bool>* cancel,
                                        ProgressCounter* progress,
                                        RuntimeStats* stats, Tracer* tracer,
@@ -841,19 +799,13 @@ Result<ResultTable> Scheduler::Execute(const InspectRequest& request,
   }
   effective.options = options;
   RuntimeStats local;
-  EngineFn engine;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    engine = engine_fn_;
-  }
+  InspectionEngine* engine = engine_.load(std::memory_order_acquire);
   Result<ResultTable> result =
-      engine ? engine(effective, session_->config_.options, &local)
-             : RunInspectRequest(effective, session_->catalog_,
-                                 session_->config_.options, &local);
+      engine->Run(effective, session_->config_.options, &local);
   if (group) ReleaseGroup(&*group);
   // A fingerprint may exist purely for dedup; only admit to the cache
   // when the result cache itself is enabled.
-  if (fingerprint && session_->config_.enable_result_cache) {
+  if (plan.cacheable) {
     local.result_cache_misses = 1;
     Metrics().cache_misses->Inc();
     // Only complete, deterministic runs are cacheable. Staleness is
@@ -861,113 +813,235 @@ Result<ResultTable> Scheduler::Execute(const InspectRequest& request,
     // by any Register* that happened while this job ran, so a result
     // computed under an invalidated catalog version is rejected there —
     // no check-then-insert race against the catalog here.
-    const bool complete =
-        result.ok() && !local.cancelled && DeterministicOptions(options);
-    if (complete) {
-      result_cache_.Insert(*fingerprint, version, dataset_fingerprint,
-                           *result);
+    if (result.ok() && !local.cancelled && plan.deterministic) {
+      result_cache_.Insert(*plan.fingerprint, plan.catalog_version,
+                           plan.dataset_fingerprint, *result);
     }
   }
   if (stats != nullptr) *stats = local;
   return result;
 }
 
-Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
-                                       RuntimeStats* stats) {
-  const int64_t submit_ns = TraceNowNs();
+// ---------------------------------------------------------------------------
+// The plan and the decision: the one copy of every admission gate.
+// ---------------------------------------------------------------------------
+
+Scheduler::LocalEngine::LocalEngine(InspectionSession* session)
+    : session_(session),
+      pool_threads_(ThreadPool::ResolveThreads(session->config_.num_threads)) {}
+
+size_t Scheduler::LocalEngine::Shards(const InspectOptions& options) const {
+  // The pool EffectiveOptions will attach: the request's own, else the
+  // session pool (num_shards == 1 runs resolve to 1 either way).
+  return ResolveShards(options.num_shards, options.pool != nullptr
+                                               ? options.pool->num_threads()
+                                               : pool_threads_);
+}
+
+EnginePlan Scheduler::LocalEngine::PlanDispatch(
+    const InspectRequest& /*request*/, const InspectPlan& compiled) const {
+  EnginePlan plan;
+  plan.shards = Shards(compiled.options);
+  return plan;
+}
+
+Result<ResultTable> Scheduler::LocalEngine::Run(
+    const InspectRequest& request, const InspectOptions& default_options,
+    RuntimeStats* stats) {
+  return RunInspectRequest(request, session_->catalog_, default_options,
+                           stats);
+}
+
+JobPlan Scheduler::Plan(const InspectRequest& request) const {
+  const SessionConfig& config = session_->config_;
+  const Catalog& catalog = session_->catalog_;
+  JobPlan plan;
+  plan.options = request.options.value_or(config.options);
+  plan.gate = CheckAdmissionDeadline(plan.options);
+  if (plan.gate.ok() && failpoint::Armed()) {
+    plan.gate = failpoint::Evaluate("scheduler.admit");
+  }
+  plan.catalog_version = catalog.version();
+  plan.deterministic = DeterministicOptions(plan.options);
+  plan.shards = engine().Shards(plan.options);
+
+  // One catalog lookup per named model and dataset feeds the fingerprint,
+  // the batching key and the queued-bytes estimate.
+  std::vector<const Extractor*> extractors;
+  extractors.reserve(request.models.size());
+  for (const InspectRequest::ModelRef& ref : request.models) {
+    const Extractor* extractor = ref.extractor;
+    if (extractor == nullptr && !ref.name.empty()) {
+      Result<CatalogModel> entry = catalog.GetModel(ref.name);
+      if (entry.ok()) extractor = entry->extractor;
+    }
+    extractors.push_back(extractor);
+  }
+  // Named datasets use the catalog's registration snapshot, inline ones
+  // a live content hash.
+  const Dataset* dataset = request.dataset;
+  std::optional<uint64_t> dataset_fp;
+  if (dataset != nullptr) {
+    dataset_fp = DatasetFingerprint(*dataset);
+  } else if (!request.dataset_name.empty()) {
+    Result<CatalogDataset> entry = catalog.GetDataset(request.dataset_name);
+    if (entry.ok()) {
+      dataset = entry->dataset;
+      dataset_fp = entry->fingerprint;
+    }
+  }
+  plan.queued_bytes = EstimateQueuedBytes(extractors, dataset);
+  plan.shared_scan = config.enable_shared_scan;
+  if (plan.shared_scan) {
+    plan.group_key = BatchKey(request, extractors, dataset_fp, plan.options);
+  }
+  // The fingerprint keys both the result cache and the dedup registry;
+  // either feature alone needs it. Bit-exact shard merges make full
+  // sweeps shard-count-invariant, so HashOptions reads the engine's
+  // resolved shard count only under early stopping.
+  if (config.enable_result_cache || config.enable_inflight_dedup) {
+    InspectOptions fp_options = plan.options;
+    fp_options.num_shards = plan.shards;
+    plan.fingerprint = RequestFingerprint(request, dataset_fp, fp_options);
+    if (plan.fingerprint) plan.dataset_fingerprint = *dataset_fp;
+  }
+  plan.cacheable = plan.fingerprint.has_value() && config.enable_result_cache;
+  plan.dedupable = plan.fingerprint.has_value() &&
+                   config.enable_inflight_dedup && plan.deterministic;
+  return plan;
+}
+
+JobDecision Scheduler::DecideLocked(
+    const JobPlan& plan, bool queued,
+    std::shared_ptr<InflightJob>* leader) const {
+  JobDecision decision;
+  decision.active_jobs = active_jobs_;
+  decision.queued_bytes = queued_bytes_;
+  // An identical in-flight job makes this one a waiter, bypassing
+  // admission: it consumes no engine resources.
+  if (plan.dedupable) {
+    auto it = inflight_.find({*plan.fingerprint, plan.catalog_version});
+    if (it != inflight_.end() && !it->second->done) {
+      decision.role = JobDecision::Role::kWaiter;
+      if (leader != nullptr) *leader = it->second;
+      return decision;
+    }
+  }
+  const SessionConfig& config = session_->config_;
+  if (config.max_concurrent_jobs > 0 &&
+      active_jobs_ >= config.max_concurrent_jobs) {
+    decision.role = JobDecision::Role::kReject;
+    decision.reject = Status::ResourceExhausted(
+        "concurrent-job quota exhausted: " + std::to_string(active_jobs_) +
+        " active, quota " + std::to_string(config.max_concurrent_jobs));
+  } else if (queued && config.max_queued_bytes > 0 && queued_jobs_ > 0 &&
+             queued_bytes_ + plan.queued_bytes > config.max_queued_bytes) {
+    // Keyed on queued (not running) jobs: the first job into an empty
+    // queue is always admitted, even over-size, so a single large
+    // request cannot wedge the session.
+    decision.role = JobDecision::Role::kReject;
+    decision.reject = Status::ResourceExhausted(
+        "queued-bytes quota exhausted: " + std::to_string(queued_bytes_) +
+        " queued + " + std::to_string(plan.queued_bytes) +
+        " requested > quota " + std::to_string(config.max_queued_bytes));
+  }
+  return decision;
+}
+
+JobDecision Scheduler::Decide(const JobPlan& plan) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  JobDecision decision = DecideLocked(plan, /*queued=*/true, nullptr);
+  decision.group_exists = plan.group_key && groups_.count(*plan.group_key) > 0;
+  return decision;
+}
+
+Scheduler::Admission Scheduler::Admit(
+    const InspectRequest& request, bool queued,
+    const std::shared_ptr<internal::JobState>& state) {
   Metrics().submitted->Inc();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++jobs_scheduled_;
   }
-  const uint64_t version = session_->catalog_.version();
-  const InspectOptions request_options =
-      request.options.value_or(session_->config_.options);
-  DB_RETURN_NOT_OK(CheckAdmissionDeadline(request_options));
-  DB_FAILPOINT("scheduler.admit");
-  std::optional<uint64_t> fingerprint;
-  uint64_t dataset_fp = 0;
-  // The fingerprint keys both the result cache and the dedup registry;
-  // either feature alone needs it. Bit-exact shard merges make full
-  // sweeps shard-count-invariant, so only early-stopping requests pin
-  // the *resolved* shard count (see ResolvedShardCountFor/HashOptions).
-  if (session_->config_.enable_result_cache ||
-      session_->config_.enable_inflight_dedup) {
-    InspectOptions fp_options = request_options;
-    if (request_options.early_stopping) {
-      fp_options.num_shards =
-          ResolvedShardCountFor(request_options, session_->config_);
-    }
-    fingerprint = InspectRequestFingerprint(request, session_->catalog_,
-                                            fp_options);
-    if (fingerprint) {
-      dataset_fp =
-          DatasetFingerprintFor(request, session_->catalog_).value_or(0);
-    }
+  Admission admission;
+  admission.plan = Plan(request);
+  const JobPlan& plan = admission.plan;
+  if (!plan.gate.ok()) {
+    admission.status = plan.gate;
+    return admission;
   }
-  if (fingerprint && session_->config_.enable_result_cache) {
-    result_cache_.InvalidateBelow(version);
-    if (std::optional<ResultTable> hit =
-            result_cache_.Lookup(*fingerprint, version, dataset_fp)) {
-      if (stats != nullptr) {
-        *stats = RuntimeStats{};
-        stats->result_cache_hits = 1;
-      }
+  if (plan.cacheable) {
+    result_cache_.InvalidateBelow(plan.catalog_version);
+    admission.hit = result_cache_.Lookup(*plan.fingerprint,
+                                         plan.catalog_version,
+                                         plan.dataset_fingerprint);
+    if (admission.hit) {
       Metrics().cache_hits->Inc();
-      CountJobTerminal(
-          "ok", static_cast<double>(TraceNowNs() - submit_ns) * 1e-9);
-      return std::move(*hit);
+      return admission;
     }
   }
-
-  const bool dedupable = fingerprint.has_value() &&
-                         session_->config_.enable_inflight_dedup &&
-                         DeterministicOptions(request_options);
-  std::shared_ptr<InflightJob> inflight;
-  std::shared_ptr<internal::JobState> waiter;
-  Status admitted = Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = dedupable ? inflight_.find({*fingerprint, version})
-                        : inflight_.end();
-    if (dedupable && it != inflight_.end() && !it->second->done) {
-      // Identical request already in flight: park this caller on it.
-      waiter = std::make_shared<internal::JobState>();
-      waiter->progress = it->second->progress;  // poll the leader's run
-      waiter->submit_ns = submit_ns;
-      it->second->waiters.push_back(waiter);
+  // One critical section decides the role and registers it, so a
+  // rejected request leaves no registry entry behind.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<InflightJob> leader;
+  const JobDecision decision = DecideLocked(plan, queued, &leader);
+  switch (decision.role) {
+    case JobDecision::Role::kWaiter:
+      state->progress = leader->progress;  // poll the leader's run
+      leader->waiters.push_back(state);
       ++dedup_followers_;
       Metrics().dedup_followers->Inc();
-    } else {
-      // Admission first, leader registration second, atomically: a
-      // rejected request must leave no registry entry behind. The sync
-      // path runs immediately, so only the concurrent-job quota applies
-      // (nothing ever sits in a queue).
-      const SessionConfig& config = session_->config_;
-      if (config.max_concurrent_jobs > 0 &&
-          active_jobs_ >= config.max_concurrent_jobs) {
-        ++admission_rejections_;
-        Metrics().admission_rejections->Inc();
-        admitted = Status::ResourceExhausted(
-            "concurrent-job quota exhausted: " +
-            std::to_string(active_jobs_) + " active, quota " +
-            std::to_string(config.max_concurrent_jobs));
-      } else {
-        ++active_jobs_;
-        Metrics().queue_depth->Add(1);
-        if (dedupable) {
-          inflight = std::make_shared<InflightJob>();
-          inflight->fingerprint = *fingerprint;
-          inflight->version = version;
-          inflight->dataset_fingerprint = dataset_fp;
-          inflight->request = request;
-          inflight->progress = std::make_shared<ProgressCounter>();
-          inflight_[{*fingerprint, version}] = inflight;
-        }
+      admission.waiter = true;
+      admission.inflight = std::move(leader);
+      break;
+    case JobDecision::Role::kReject:
+      ++admission_rejections_;
+      Metrics().admission_rejections->Inc();
+      admission.status = decision.reject;
+      break;
+    case JobDecision::Role::kLeader:
+      ++active_jobs_;
+      Metrics().queue_depth->Add(1);
+      if (queued) {
+        ++queued_jobs_;
+        queued_bytes_ += plan.queued_bytes;
       }
-    }
+      if (plan.dedupable) {
+        admission.inflight = std::make_shared<InflightJob>();
+        admission.inflight->plan = plan;
+        admission.inflight->request = request;
+        // The leader's own counter, so waiters poll this run's progress.
+        admission.inflight->progress = state->progress;
+        inflight_[{*plan.fingerprint, plan.catalog_version}] =
+            admission.inflight;
+      }
+      break;
   }
-  if (waiter != nullptr) {
+  return admission;
+}
+
+Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
+                                       RuntimeStats* stats) {
+  const int64_t submit_ns = TraceNowNs();
+  auto waiter = std::make_shared<internal::JobState>();
+  waiter->submit_ns = submit_ns;
+  Admission admission = Admit(request, /*queued=*/false, waiter);
+  if (admission.hit) {
+    if (stats != nullptr) {
+      *stats = RuntimeStats{};
+      stats->result_cache_hits = 1;
+    }
+    CountJobTerminal("ok",
+                     static_cast<double>(TraceNowNs() - submit_ns) * 1e-9);
+    return std::move(*admission.hit);
+  }
+  if (!admission.status.ok()) {
+    // A gate failure returns before the job exists; a quota rejection
+    // counts as an errored job.
+    if (admission.plan.gate.ok()) CountJobTerminal("error", -1);
+    return admission.status;
+  }
+  if (admission.waiter) {
     std::unique_lock<std::mutex> lock(waiter->mu);
     waiter->cv.wait(lock, [&waiter] {
       return waiter->status == JobStatus::kDone ||
@@ -976,16 +1050,13 @@ Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
     if (stats != nullptr) *stats = waiter->stats;
     return *waiter->result;
   }
-  if (!admitted.ok()) {
-    CountJobTerminal("error", -1);
-    return admitted;
-  }
 
+  const std::shared_ptr<InflightJob>& inflight = admission.inflight;
   RuntimeStats local;
-  Result<ResultTable> result =
-      Execute(request, AttachToGroup(request), fingerprint, version,
-              dataset_fp, /*cancel=*/nullptr,
-              inflight ? inflight->progress.get() : nullptr, &local);
+  Result<ResultTable> result = Execute(
+      request, admission.plan, AttachToGroup(admission.plan.group_key),
+      /*cancel=*/nullptr, inflight ? inflight->progress.get() : nullptr,
+      &local);
   if (inflight) {
     FinishInflight(inflight, result, local, /*leader_cancelled=*/false);
   }
@@ -999,11 +1070,6 @@ Result<ResultTable> Scheduler::RunSync(const InspectRequest& request,
 
 JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
   const int64_t submit_ns = TraceNowNs();
-  Metrics().submitted->Inc();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++jobs_scheduled_;
-  }
   // The job's tracer exists before any admission decision, so even
   // born-terminal handles carry a (tiny) trace. An inbound trace_id (the
   // serving layer) is adopted; 0 mints a fresh one.
@@ -1015,160 +1081,42 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
         session_->config_.trace_ring_capacity);
     root_span = NewSpanId();
   }
-  auto attach_trace = [&](const std::shared_ptr<internal::JobState>& state) {
+  auto state = session_->NewJobState();
+  {
     std::lock_guard<std::mutex> lock(state->mu);
     state->tracer = tracer;
     state->root_span = root_span;
     state->submit_ns = submit_ns;
-  };
-  const uint64_t version = session_->catalog_.version();
-  const InspectOptions request_options =
-      request.options.value_or(session_->config_.options);
-  {
-    // Same admission gates as RunSync, surfaced as a born-terminal handle
-    // (Submit has no Status channel).
-    Status admit = CheckAdmissionDeadline(request_options);
-    if (admit.ok() && failpoint::Armed()) {
-      admit = failpoint::Evaluate("scheduler.admit");
-    }
-    if (!admit.ok()) {
-      auto state = session_->NewJobState();
-      attach_trace(state);
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->status = JobStatus::kDone;
-        state->result = admit;
-        state->cv.notify_all();
-      }
-      FinalizeJob(state, "error");
-      return JobHandle(state);
-    }
   }
-  std::optional<uint64_t> fingerprint;
-  uint64_t dataset_fp = 0;
-  // The fingerprint keys both the result cache and the dedup registry;
-  // either feature alone needs it. Bit-exact shard merges make full
-  // sweeps shard-count-invariant, so only early-stopping requests pin
-  // the *resolved* shard count (see ResolvedShardCountFor/HashOptions).
-  if (session_->config_.enable_result_cache ||
-      session_->config_.enable_inflight_dedup) {
-    InspectOptions fp_options = request_options;
-    if (request_options.early_stopping) {
-      fp_options.num_shards =
-          ResolvedShardCountFor(request_options, session_->config_);
-    }
-    fingerprint = InspectRequestFingerprint(request, session_->catalog_,
-                                            fp_options);
-    if (fingerprint) {
-      dataset_fp =
-          DatasetFingerprintFor(request, session_->catalog_).value_or(0);
-    }
-  }
-  if (fingerprint && session_->config_.enable_result_cache) {
-    result_cache_.InvalidateBelow(version);
-    if (std::optional<ResultTable> hit =
-            result_cache_.Lookup(*fingerprint, version, dataset_fp)) {
-      // Served without touching the engine: the job is born done.
-      auto state = session_->NewJobState();
-      attach_trace(state);
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->status = JobStatus::kDone;
-        state->stats.result_cache_hits = 1;
-        state->result = std::move(*hit);
-        state->cv.notify_all();
-      }
-      Metrics().cache_hits->Inc();
-      FinalizeJob(state, "ok");
-      return JobHandle(state);
-    }
-  }
-
-  // One critical section decides the job's role: waiter on an identical
-  // in-flight job (bypasses admission — it consumes no engine
-  // resources), rejected over quota, or admitted leader.
-  const SessionConfig& config = session_->config_;
-  const bool dedupable = fingerprint.has_value() &&
-                         config.enable_inflight_dedup &&
-                         DeterministicOptions(request_options);
-  const bool quota_enabled =
-      config.max_concurrent_jobs > 0 || config.max_queued_bytes > 0;
-  const size_t estimate =
-      config.max_queued_bytes > 0 ? EstimateQueuedBytes(request) : 0;
-  std::shared_ptr<InflightJob> inflight;
-  Status admitted = Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dedupable) {
-      auto it = inflight_.find({*fingerprint, version});
-      if (it != inflight_.end() && !it->second->done) {
-        std::shared_ptr<InflightJob> job = it->second;
-        auto state = session_->NewJobState();
-        attach_trace(state);
-        state->progress = job->progress;  // poll the leader's run
-        job->waiters.push_back(state);
-        ++dedup_followers_;
-        Metrics().dedup_followers->Inc();
-        {
-          // Cancel on a waiter resolves the waiter, never the leader.
-          std::lock_guard<std::mutex> state_lock(state->mu);
-          std::weak_ptr<internal::JobState> weak_state = state;
-          state->on_cancel = [this, job, weak_state] {
-            if (auto locked = weak_state.lock()) CancelWaiter(job, locked);
-          };
-        }
-        return JobHandle(state);
-      }
-    }
-    if (quota_enabled) {
-      if (config.max_concurrent_jobs > 0 &&
-          active_jobs_ >= config.max_concurrent_jobs) {
-        ++admission_rejections_;
-        Metrics().admission_rejections->Inc();
-        admitted = Status::ResourceExhausted(
-            "concurrent-job quota exhausted: " +
-            std::to_string(active_jobs_) + " active, quota " +
-            std::to_string(config.max_concurrent_jobs));
-      } else if (config.max_queued_bytes > 0 && queued_jobs_ > 0 &&
-                 queued_bytes_ + estimate > config.max_queued_bytes) {
-        // Keyed on queued (not running) jobs: the first job into an
-        // empty queue is always admitted, even over-size, so a single
-        // large request cannot wedge the session.
-        ++admission_rejections_;
-        Metrics().admission_rejections->Inc();
-        admitted = Status::ResourceExhausted(
-            "queued-bytes quota exhausted: " +
-            std::to_string(queued_bytes_) + " queued + " +
-            std::to_string(estimate) + " requested > quota " +
-            std::to_string(config.max_queued_bytes));
-      }
-    }
-    if (admitted.ok()) {
-      ++active_jobs_;
-      Metrics().queue_depth->Add(1);
-      ++queued_jobs_;
-      queued_bytes_ += estimate;
-      if (dedupable) {
-        inflight = std::make_shared<InflightJob>();
-        inflight->fingerprint = *fingerprint;
-        inflight->version = version;
-        inflight->dataset_fingerprint = dataset_fp;
-        inflight->request = request;
-        inflight->progress = std::make_shared<ProgressCounter>();
-        inflight_[{*fingerprint, version}] = inflight;
-      }
-    }
-  }
-  if (!admitted.ok()) {
-    auto state = session_->NewJobState();
-    attach_trace(state);
+  Admission admission = Admit(request, /*queued=*/true, state);
+  if (admission.hit || !admission.status.ok()) {
+    // Born terminal: served from the cache without touching the engine,
+    // or rejected (Submit has no Status channel).
     {
       std::lock_guard<std::mutex> lock(state->mu);
       state->status = JobStatus::kDone;
-      state->result = admitted;
+      if (admission.hit) {
+        state->stats.result_cache_hits = 1;
+        state->result = std::move(*admission.hit);
+      } else {
+        state->result = admission.status;
+      }
       state->cv.notify_all();
     }
-    FinalizeJob(state, "error");
+    FinalizeJob(state, admission.hit ? "ok" : "error");
+    return JobHandle(state);
+  }
+  if (admission.waiter) {
+    // Cancel on a waiter resolves the waiter, never the leader. Installed
+    // only while the state is still parked: a delivery or promotion that
+    // already ran owns the state from here on.
+    std::lock_guard<std::mutex> lock(state->mu);
+    if (state->status == JobStatus::kQueued) {
+      std::weak_ptr<internal::JobState> weak_state = state;
+      state->on_cancel = [this, job = admission.inflight, weak_state] {
+        if (auto locked = weak_state.lock()) CancelWaiter(job, locked);
+      };
+    }
     return JobHandle(state);
   }
 
@@ -1181,23 +1129,19 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
     admit_span.name = "sched.admit";
     admit_span.start_ns = submit_ns;
     admit_span.duration_ns = TraceNowNs() - submit_ns;
-    if (inflight != nullptr) admit_span.tags = "dedup=leader";
+    if (admission.inflight != nullptr) admit_span.tags = "dedup=leader";
     tracer->Record(std::move(admit_span));
   }
 
   ThreadPool* pool = session_->EnsurePool();
-  auto state = session_->NewJobState();
-  attach_trace(state);
-  // The leader's handle and the in-flight registry share one progress
-  // counter, so waiters attached later poll this run's live counters.
-  if (inflight) state->progress = inflight->progress;
   // Group membership is claimed at submit time (not when the worker picks
   // the job up), so every job queued in one burst lands in one group.
-  std::optional<GroupHandle> group = AttachToGroup(request);
-  pool->Submit([this, state, fingerprint, version, dataset_fp, estimate,
-                inflight, submit_ns, group = std::move(group),
+  std::optional<GroupHandle> group = AttachToGroup(admission.plan.group_key);
+  pool->Submit([this, state, plan = std::move(admission.plan),
+                inflight = std::move(admission.inflight), submit_ns,
+                group = std::move(group),
                 request = std::move(request)]() mutable {
-    OnJobStarted(estimate);
+    OnJobStarted(plan.queued_bytes);
     const int64_t start_ns = TraceNowNs();
     std::shared_ptr<Tracer> job_tracer;
     uint64_t job_root = 0;
@@ -1243,9 +1187,8 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
     }
     RuntimeStats stats;
     Result<ResultTable> result =
-        Execute(request, std::move(group), fingerprint, version, dataset_fp,
-                &state->cancel, state->progress.get(), &stats,
-                job_tracer.get(), job_root);
+        Execute(request, plan, std::move(group), &state->cancel,
+                state->progress.get(), &stats, job_tracer.get(), job_root);
     auto resolve_leader = [&] {
       std::lock_guard<std::mutex> lock(state->mu);
       state->stats = stats;
@@ -1288,75 +1231,6 @@ JobHandle Scheduler::Submit(InspectRequest request, uint64_t trace_id) {
   return JobHandle(state);
 }
 
-SchedulerProbe Scheduler::Probe(const InspectRequest& request) const {
-  SchedulerProbe p;
-  const Catalog& catalog = session_->catalog_;
-  const SessionConfig& config = session_->config_;
-  p.catalog_version = catalog.version();
-  const InspectOptions options =
-      request.options.value_or(config.options);
-  p.deterministic = DeterministicOptions(options);
-  p.resolved_shard_count = ResolvedShardCountFor(options, config);
-  // Same fingerprint the Submit paths compute: early-stopping requests
-  // pin the resolved shard count (see HashOptions).
-  if (config.enable_result_cache || config.enable_inflight_dedup) {
-    InspectOptions fp_options = options;
-    if (options.early_stopping) {
-      fp_options.num_shards = p.resolved_shard_count;
-    }
-    p.fingerprint = InspectRequestFingerprint(request, catalog, fp_options);
-    if (p.fingerprint) {
-      p.dataset_fingerprint =
-          DatasetFingerprintFor(request, catalog).value_or(0);
-    }
-  }
-  p.cacheable = p.fingerprint.has_value() && config.enable_result_cache;
-  if (p.cacheable) {
-    p.cache_tier = result_cache_.PeekTier(*p.fingerprint, p.catalog_version,
-                                          p.dataset_fingerprint);
-  }
-  p.dedupable = p.fingerprint.has_value() && config.enable_inflight_dedup &&
-                p.deterministic;
-  p.shared_scan_enabled = config.enable_shared_scan;
-  p.group_key = BatchKeyFor(request, catalog, options);
-  p.estimated_queued_bytes = EstimateQueuedBytes(request);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (p.dedupable) {
-      auto it = inflight_.find({*p.fingerprint, p.catalog_version});
-      p.dedup_inflight = it != inflight_.end() && !it->second->done;
-    }
-    if (p.shared_scan_enabled && p.group_key) {
-      p.group_exists = groups_.count(*p.group_key) > 0;
-    }
-    p.active_jobs = active_jobs_;
-    p.queued_bytes = queued_bytes_;
-    // A dedup waiter bypasses admission entirely; otherwise mirror the
-    // quota gates Submit would apply right now.
-    if (!p.dedup_inflight) {
-      if (config.max_concurrent_jobs > 0 &&
-          active_jobs_ >= config.max_concurrent_jobs) {
-        p.would_admit = false;
-        p.admission_detail =
-            "concurrent-job quota exhausted: " + std::to_string(active_jobs_) +
-            " active, quota " + std::to_string(config.max_concurrent_jobs);
-      } else if (config.max_queued_bytes > 0 && queued_jobs_ > 0 &&
-                 queued_bytes_ + p.estimated_queued_bytes >
-                     config.max_queued_bytes) {
-        p.would_admit = false;
-        p.admission_detail =
-            "queued-bytes quota exhausted: " + std::to_string(queued_bytes_) +
-            " queued + " + std::to_string(p.estimated_queued_bytes) +
-            " requested > quota " + std::to_string(config.max_queued_bytes);
-      }
-    }
-  }
-  if (p.would_admit && !CheckAdmissionDeadline(options).ok()) {
-    p.would_admit = false;
-    p.admission_detail = "job deadline expired before admission";
-  }
-  return p;
-}
 
 SchedulerStats Scheduler::stats() const {
   SchedulerStats s;

@@ -53,8 +53,8 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -71,37 +71,9 @@ namespace deepbase {
 
 class BehaviorStore;
 
-/// \brief Fingerprint of a fully catalog-resolved InspectRequest plus the
-/// score-affecting option values; nullopt when the request is not
-/// cacheable (inline extractors / hypothesis / measure objects).
-std::optional<uint64_t> InspectRequestFingerprint(
-    const InspectRequest& request, const Catalog& catalog,
-    const InspectOptions& options);
-
-/// \brief Batching key for shared-scan grouping: model ids + dataset
-/// fingerprint + the options that shape the block sequence. nullopt when
-/// the request cannot be resolved against the catalog (it then runs
-/// solo and reports its own compile error).
-std::optional<std::string> BatchKeyFor(const InspectRequest& request,
-                                       const Catalog& catalog,
-                                       const InspectOptions& options);
-
 /// \brief Blob-tier key of one persisted result-cache entry.
 std::string ResultCacheBlobKey(uint64_t fingerprint, uint64_t version,
                                uint64_t dataset_fingerprint);
-
-/// \brief True when the run is complete and clock-independent — the
-/// cacheability/dedupability gate (a truncated or deadline-bearing run
-/// depends on wall-clock timing). Shared with EXPLAIN.
-bool DeterministicOptions(const InspectOptions& options);
-
-/// \brief The shard count this session's engine would actually run the
-/// request at, mirroring BlockPipeline's resolution (explicit count →
-/// pool size → config threads → hardware concurrency, clamped to
-/// [1, 64]). Shared by the fingerprint's early-stopping carve-out and by
-/// EXPLAIN's partition plan.
-size_t ResolvedShardCountFor(const InspectOptions& options,
-                             const SessionConfig& config);
 
 /// \brief LRU-over-bytes cache of completed inspection results, keyed by
 /// (request fingerprint, catalog version), with an optional persistent
@@ -250,28 +222,83 @@ struct SchedulerStats {
   void Accumulate(const SchedulerStats& other);
 };
 
-/// \brief What the scheduler *would* decide for a request right now —
-/// the admission/cache/dedup/group half of an EXPLAIN plan. Computed by
-/// Scheduler::Probe without mutating anything: no counters move, no LRU
-/// reorders, no blob is read, no registry entry is created.
-struct SchedulerProbe {
+/// \brief How the session's engine will run one job: the execution half
+/// of a job's plan. The engine's own Run executes it, and EXPLAIN and
+/// statusz render it.
+struct EnginePlan {
+  enum class Dispatch {
+    kLocal,           ///< the in-process engine (no cluster installed)
+    kInlineFallback,  ///< cluster engine, but the request cannot travel
+    kNoWorkers,       ///< cluster engine with no live worker
+    kSliced,          ///< shard ranges spread over the live workers
+    kWhole,           ///< the whole job pinned to one worker
+  };
+  /// The shard count the run uses (RuntimeStats::num_shards reports it).
+  size_t shards = 1;
+  Dispatch dispatch = Dispatch::kLocal;
+  bool degrade_to_local = false;  ///< kNoWorkers runs locally instead
+  std::vector<std::string> live_workers;  ///< sorted live worker ids
+  /// kSliced: the contiguous [lo, hi) shard range of each assignment.
+  std::vector<std::pair<uint32_t, uint32_t>> ranges;
+  std::string placement;  ///< kWhole: the rendezvous-placed worker
+};
+
+/// \brief What runs a scheduled job. The scheduler's default is the
+/// in-process engine; a cluster coordinator installs itself through
+/// Scheduler::SetEngine. An engine plans and runs with the same code, so
+/// what EXPLAIN renders is what Run does.
+class InspectionEngine {
+ public:
+  virtual ~InspectionEngine() = default;
+  /// \brief The shard count a run with `options` uses. Pure and cheap:
+  /// every submission's JobPlan reads it (it keys early-stopping
+  /// fingerprints).
+  virtual size_t Shards(const InspectOptions& options) const = 0;
+  /// \brief Where `request` (compiled as `compiled`) will run.
+  virtual EnginePlan PlanDispatch(const InspectRequest& request,
+                                  const InspectPlan& compiled) const = 0;
+  /// \brief Run one request. `request.options` are the effective options
+  /// (cancel/progress/tracer/substrate already threaded in).
+  virtual Result<ResultTable> Run(const InspectRequest& request,
+                                  const InspectOptions& default_options,
+                                  RuntimeStats* stats) = 0;
+};
+
+/// \brief Everything the scheduler decides about a request that does not
+/// depend on live scheduler state. Scheduler::Plan computes it once per
+/// submission; Submit, RunSync and EXPLAIN all read the same value.
+struct JobPlan {
+  InspectOptions options;  ///< the request's options or the session's
+  /// Admission gate: the deadline, then the scheduler.admit failpoint.
+  Status gate;
+  uint64_t catalog_version = 0;
   std::optional<uint64_t> fingerprint;  ///< nullopt = not cacheable
   uint64_t dataset_fingerprint = 0;
-  uint64_t catalog_version = 0;
-  bool deterministic = false;  ///< DeterministicOptions(effective options)
-  bool cacheable = false;      ///< fingerprint && result cache enabled
-  bool dedupable = false;      ///< fingerprint && dedup enabled && determ.
-  std::string cache_tier;      ///< "memory" | "persistent" | "" (miss)
-  bool dedup_inflight = false;  ///< would attach as waiter on a leader
-  bool shared_scan_enabled = false;
-  std::optional<std::string> group_key;  ///< shared-scan batching key
-  bool group_exists = false;  ///< a live group already has this key
-  size_t resolved_shard_count = 0;
-  size_t estimated_queued_bytes = 0;  ///< the queued-bytes quota unit
-  bool would_admit = true;
-  std::string admission_detail;  ///< set when would_admit is false
-  size_t active_jobs = 0;
+  /// Complete and clock-independent (no max_blocks, time budget or
+  /// deadline): only such runs are cached or deduplicated.
+  bool deterministic = false;
+  bool cacheable = false;  ///< fingerprint && result cache enabled
+  bool dedupable = false;  ///< fingerprint && dedup enabled && deterministic
+  bool shared_scan = false;  ///< shared-scan batching enabled
+  /// Shared-scan batching key (model ids + unit footprint + dataset
+  /// fingerprint + scan-shaping options); nullopt when batching is off or
+  /// the request does not resolve against the catalog.
+  std::optional<std::string> group_key;
+  /// Rough extraction footprint (rows × units × 4 B), the unit of the
+  /// queued-bytes quota.
   size_t queued_bytes = 0;
+  size_t shards = 1;  ///< the engine's resolved shard count
+};
+
+/// \brief A submission's role against live scheduler state (in-flight
+/// registry and quotas), decided in Submit's order: dedup, then quota.
+struct JobDecision {
+  enum class Role { kLeader, kWaiter, kReject };
+  Role role = Role::kLeader;
+  Status reject;  ///< kReject: the quota that refused the job
+  size_t active_jobs = 0;   ///< the quota state the decision read
+  size_t queued_bytes = 0;
+  bool group_exists = false;  ///< Decide only: the plan's group is live
 };
 
 /// \brief The session's scheduler. Owned by InspectionSession; every
@@ -280,38 +307,43 @@ class Scheduler {
  public:
   explicit Scheduler(InspectionSession* session);
 
-  /// \brief Async path: result-cache probe, in-flight dedup, admission
-  /// check, group attach, enqueue. Over-quota submissions return a handle
-  /// already resolved with kResourceExhausted. `trace_id` threads an
-  /// externally minted trace id (the serving layer's Submit frame) into
-  /// the job's Tracer; 0 mints a fresh id.
+  /// \brief Async path: plan, result-cache probe, then in-flight dedup,
+  /// admission and group attach, enqueue. Rejected submissions return a
+  /// handle already resolved with the gate's or quota's error.
+  /// `trace_id` threads an externally minted trace id (the serving
+  /// layer's Submit frame) into the job's Tracer; 0 mints a fresh id.
   JobHandle Submit(InspectRequest request, uint64_t trace_id = 0);
-  /// \brief Sync path: same caching/dedup/admission, run on the caller
-  /// thread (an identical in-flight job parks the caller until the
-  /// leader's result is ready).
+  /// \brief Sync path: same plan, caching, dedup and admission, run on
+  /// the caller thread (an identical in-flight job parks the caller until
+  /// the leader's result is ready). Only the concurrent-job quota applies:
+  /// nothing ever sits in a queue.
   Result<ResultTable> RunSync(const InspectRequest& request,
                               RuntimeStats* stats);
+
+  /// \brief The read-only half of a submission: options, admission gate,
+  /// fingerprints, catalog version, group key, queued-bytes estimate and
+  /// the engine's shard count. Takes no scheduler lock and moves no
+  /// counter (an armed scheduler.admit failpoint does count the hit).
+  JobPlan Plan(const InspectRequest& request) const;
+  /// \brief EXPLAIN's view of the role a submission of `plan` would get
+  /// right now (the same DecideLocked Submit runs).
+  JobDecision Decide(const JobPlan& plan) const;
 
   /// \brief Catalog mutation hook (wired by InspectionSession): raises
   /// the result cache's admission floor to `version` synchronously.
   void OnCatalogMutation(uint64_t version);
 
-  /// \brief Pluggable engine: when set, Execute() calls `fn` instead of
-  /// RunInspectRequest. This is how the cluster coordinator slots in — it
-  /// is "a scheduler whose engine is remote": result caching, in-flight
-  /// dedup, admission control, and progress plumbing all keep working
-  /// around the replacement, which receives the effective request (cancel/
-  /// progress already threaded into its options) and the session defaults.
-  /// Pass nullptr to restore the local engine. Takes effect for jobs that
-  /// start after the call; in-flight jobs keep the engine they started on.
-  using EngineFn = std::function<Result<ResultTable>(
-      const InspectRequest& request, const InspectOptions& default_options,
-      RuntimeStats* stats)>;
-  void SetEngine(EngineFn fn);
-
-  /// \brief EXPLAIN's dry-run view of the decisions Submit() would make
-  /// for `request` right now. Strictly read-only (see SchedulerProbe).
-  SchedulerProbe Probe(const InspectRequest& request) const;
+  /// \brief Pluggable engine: jobs that start after the call run on
+  /// `engine` (nullptr restores the in-process engine); in-flight jobs
+  /// keep the engine they started on. This is how the cluster coordinator
+  /// slots in — "a scheduler whose engine is remote": result caching,
+  /// in-flight dedup, admission control and progress plumbing keep
+  /// working around it. The engine must outlive the jobs it runs.
+  void SetEngine(InspectionEngine* engine);
+  /// \brief The engine new jobs run on.
+  const InspectionEngine& engine() const {
+    return *engine_.load(std::memory_order_acquire);
+  }
 
   SchedulerStats stats() const;
   ResultCache& result_cache() { return result_cache_; }
@@ -321,6 +353,24 @@ class Scheduler {
   size_t inflight_jobs() const;
 
  private:
+  /// The in-process engine: RunInspectRequest on the session substrate.
+  class LocalEngine final : public InspectionEngine {
+   public:
+    explicit LocalEngine(InspectionSession* session);
+    size_t Shards(const InspectOptions& options) const override;
+    EnginePlan PlanDispatch(const InspectRequest& request,
+                            const InspectPlan& compiled) const override;
+    Result<ResultTable> Run(const InspectRequest& request,
+                            const InspectOptions& default_options,
+                            RuntimeStats* stats) override;
+
+   private:
+    InspectionSession* session_;
+    /// The session pool's size (SessionConfig::num_threads resolved once:
+    /// the 0 = hardware-concurrency rule costs a syscall).
+    size_t pool_threads_;
+  };
+
   /// One job's membership in a shared-scan group.
   struct GroupHandle {
     std::string key;
@@ -328,34 +378,56 @@ class Scheduler {
     std::shared_ptr<SharedScanClient> client;
   };
 
-  /// One entry of the in-flight dedup registry: the leader's request (for
-  /// waiter promotion after a leader cancel) plus the waiters parked on
-  /// it. `done` flips when the leader's terminal delivery has begun; a
-  /// waiter that finds `done` missed the delivery and must run itself.
+  /// One entry of the in-flight dedup registry: the leader's request and
+  /// plan (for waiter promotion after a leader cancel) plus the waiters
+  /// parked on it. `done` flips when the leader's terminal delivery has
+  /// begun; a waiter that finds `done` missed the delivery and must run
+  /// itself.
   struct InflightJob {
-    uint64_t fingerprint = 0;
-    uint64_t version = 0;
-    uint64_t dataset_fingerprint = 0;
+    JobPlan plan;
     InspectRequest request;
     bool done = false;                                       // guarded by mu_
     std::vector<std::shared_ptr<internal::JobState>> waiters;  // guarded by mu_
-    /// The leader's live progress counter, created at registration and
-    /// shared into every waiter's JobState so polling a waiter (locally
-    /// or over the wire) reports the leader's progress. Never null.
+    /// The leader's live progress counter (its handle's own), shared into
+    /// every waiter's JobState so polling a waiter (locally or over the
+    /// wire) reports the leader's progress. Never null.
     std::shared_ptr<ProgressCounter> progress;
   };
 
-  std::optional<GroupHandle> AttachToGroup(const InspectRequest& request);
+  /// The shared front half of Submit and RunSync. `status` is the gate's
+  /// or quota's error; `hit` a result-cache answer; otherwise the job is
+  /// a waiter (parked on `inflight`) or the leader (`inflight` is its own
+  /// registry entry when dedupable).
+  struct Admission {
+    JobPlan plan;
+    Status status;
+    std::optional<ResultTable> hit;
+    bool waiter = false;
+    std::shared_ptr<InflightJob> inflight;
+  };
+
+  /// Plan, then cache lookup, then DecideLocked plus registration in one
+  /// critical section. A waiter parks `state` on the leader's entry; a
+  /// leader shares `state->progress` with its entry. `queued` jobs
+  /// (Submit) also count against the queued-bytes quota.
+  Admission Admit(const InspectRequest& request, bool queued,
+                  const std::shared_ptr<internal::JobState>& state);
+  /// The job's role against the in-flight registry and quotas. Caller
+  /// holds mu_. `leader` receives the in-flight entry a waiter attaches to.
+  JobDecision DecideLocked(const JobPlan& plan, bool queued,
+                           std::shared_ptr<InflightJob>* leader) const;
+
+  std::optional<GroupHandle> AttachToGroup(
+      const std::optional<std::string>& key);
   /// Fold the client's counters, detach, retire the group if empty.
   void ReleaseGroup(GroupHandle* group);
   /// Run one request on the calling thread (group already attached) and
-  /// admit the result to the cache when eligible. `tracer`/`parent_span`
-  /// thread the job's trace into the engine options (a request that
-  /// already carries its own tracer keeps it).
+  /// admit the result to the cache when the plan allows. `tracer`/
+  /// `parent_span` thread the job's trace into the engine options (a
+  /// request that already carries its own tracer keeps it).
   Result<ResultTable> Execute(const InspectRequest& request,
+                              const JobPlan& plan,
                               std::optional<GroupHandle> group,
-                              std::optional<uint64_t> fingerprint,
-                              uint64_t version, uint64_t dataset_fingerprint,
                               const std::atomic<bool>* cancel,
                               ProgressCounter* progress, RuntimeStats* stats,
                               Tracer* tracer = nullptr,
@@ -391,14 +463,13 @@ class Scheduler {
 
   void OnJobStarted(size_t queued_bytes);
   void OnJobFinished();
-  /// Rough extraction footprint of a request (dataset rows × unit count),
-  /// the unit of the queued-bytes quota.
-  size_t EstimateQueuedBytes(const InspectRequest& request) const;
 
   InspectionSession* session_;
   ResultCache result_cache_;
+  LocalEngine local_engine_;
+  /// Never null: &local_engine_ unless a SetEngine override is installed.
+  std::atomic<InspectionEngine*> engine_;
   mutable std::mutex mu_;
-  EngineFn engine_fn_;  // guarded by mu_; copied per Execute
   std::map<std::string, std::shared_ptr<SharedScan>> groups_;
   std::map<std::pair<uint64_t, uint64_t>, std::shared_ptr<InflightJob>>
       inflight_;

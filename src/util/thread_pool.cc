@@ -6,10 +6,14 @@
 
 namespace deepbase {
 
+size_t ThreadPool::ResolveThreads(size_t num_threads) {
+  return num_threads != 0
+             ? num_threads
+             : std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
+  num_threads = ResolveThreads(num_threads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

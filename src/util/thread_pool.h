@@ -27,6 +27,10 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
+  /// \brief The worker count a pool built with `num_threads` gets (the
+  /// 0 = hardware_concurrency() rule, at least 1).
+  static size_t ResolveThreads(size_t num_threads);
+
   /// \brief Enqueue a task; returns a future for its completion.
   std::future<void> Submit(std::function<void()> fn);
 

@@ -740,6 +740,48 @@ TEST(ClusterEndToEndTest, SequentialLaneJobsPinWholeToOneWorker) {
   coordinator.Shutdown();
 }
 
+TEST(ClusterEndToEndTest, WholeJobTableDoesNotDependOnWorkerCores) {
+  // A streaming early-stopping job cannot slice, so it runs whole on one
+  // worker. It left num_shards at 0; the coordinator pins its resolved
+  // count (total_shards) into the whole-job request, so the worker's own
+  // core count cannot move where the shard lanes truncate.
+  InspectRequest request = PearsonRequest(/*num_shards=*/0);
+  request.options->streaming = true;
+  request.options->early_stopping = true;
+  request.options->corr_epsilon = 0.3;
+
+  World local;
+  InspectRequest pinned = request;
+  pinned.options->num_shards = 4;
+  Result<ResultTable> reference = local.session.Inspect(pinned);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  for (const size_t worker_threads : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("worker threads " + std::to_string(worker_threads));
+    World coord_world;
+    cluster::CoordinatorConfig config;
+    config.total_shards = 4;
+    cluster::ClusterCoordinator coordinator(&coord_world.session, config);
+    ASSERT_TRUE(coordinator.Start().ok());
+    World worker_world(/*delay_us=*/0, worker_threads);
+    cluster::InspectionWorker worker(&worker_world.session,
+                                     {.worker_id = "w-0",
+                                      .coordinator_port = coordinator.port()});
+    ASSERT_TRUE(worker.Connect().ok());
+    ASSERT_TRUE(WaitForWorkers(coordinator, 1));
+
+    RuntimeStats stats;
+    Result<ResultTable> result = coord_world.session.Inspect(request, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(coordinator.stats().jobs_whole, 1u);
+    EXPECT_EQ(stats.num_shards, 4u);
+    EXPECT_EQ(result->SerializeToString(), reference->SerializeToString());
+
+    worker.Shutdown();
+    coordinator.Shutdown();
+  }
+}
+
 TEST(ClusterEndToEndTest, NoWorkersYieldsUnavailable) {
   World coord_world;
   cluster::CoordinatorConfig config;

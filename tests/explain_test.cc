@@ -14,12 +14,17 @@
 //   5. The acceptance scenario: EXPLAIN ANALYZE over a live 2-worker
 //      cluster renders the sliceability verdict, per-measure merge
 //      exactness, and both workers' shard ranges with actual seconds.
-//   6. The textual front-end (EXPLAIN [ANALYZE] INSPECT ... through
+//   6. Gate order: an expired deadline rejects before the cache is
+//      consulted, and a cache hit bypasses a full quota — as Submit does.
+//   7. Agreement: across local, cache, dedup, quota, deadline and cluster
+//      scenarios, every planned decision equals what ran.
+//   8. The textual front-end (EXPLAIN [ANALYZE] INSPECT ... through
 //      SqlSession) and RenderStatusz.
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -65,6 +70,8 @@ size_t CountOf(const std::string& haystack, const std::string& needle) {
 // unit 0 tracks 'a' tokens, the rest are hash noise — identical in every
 // session so coordinator and workers share a catalog by construction.
 // Counts ExtractBlock calls so tests can prove a dry run ran nothing.
+// Hold(true) parks every extraction until Hold(false), so a test can keep
+// a job in flight while it explains another.
 class CountingExtractor : public Extractor {
  public:
   explicit CountingExtractor(size_t units = 4)
@@ -73,10 +80,14 @@ class CountingExtractor : public Extractor {
   size_t blocks_extracted() const {
     return blocks_.load(std::memory_order_relaxed);
   }
+  void Hold(bool held) { held_.store(held, std::memory_order_release); }
 
   Matrix ExtractBlock(const Dataset& dataset,
                       const std::vector<size_t>& record_idx,
                       const std::vector<int>& unit_ids) const override {
+    while (held_.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     blocks_.fetch_add(1, std::memory_order_relaxed);
     return Extractor::ExtractBlock(dataset, record_idx, unit_ids);
   }
@@ -107,6 +118,7 @@ class CountingExtractor : public Extractor {
  private:
   size_t units_;
   mutable std::atomic<size_t> blocks_{0};
+  std::atomic<bool> held_{false};
 };
 
 HypothesisPtr IsAHypothesis() {
@@ -400,6 +412,233 @@ TEST(ExplainAnalyzeTest, TwoWorkerClusterPlanShowsRangesAndMergeExactness) {
   w0.Shutdown();
   w1.Shutdown();
   coordinator.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Gate order: the plan renders Submit's order — deadline, then cache, then
+// dedup, then quota.
+// ---------------------------------------------------------------------------
+
+InspectRequest WithDeadlinePassed(InspectRequest request) {
+  request.options->deadline =
+      std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  return request;
+}
+
+TEST(ExplainAnalyzeTest, ExpiredDeadlineRejectsBeforeTheCacheIsConsulted) {
+  World world;
+  ASSERT_TRUE(world.session.Inspect(PearsonRequest(2)).ok());
+
+  // The deadline is not part of the fingerprint, so the cache holds this
+  // request's result — but Submit rejects it before the cache is asked.
+  Result<InspectionPlan> plan =
+      world.session.ExplainAnalyze(WithDeadlinePassed(PearsonRequest(2)));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string text = plan->ToText();
+  EXPECT_TRUE(Contains(
+      text, "admission: reject (job deadline expired before admission)"))
+      << text;
+  EXPECT_TRUE(Contains(text, "cache: not consulted (rejected at admission)"))
+      << text;
+  EXPECT_FALSE(Contains(text, "cache: hit")) << text;
+  EXPECT_TRUE(Contains(text, "actual: hit=no")) << text;
+  EXPECT_TRUE(plan->AllDivergences().empty())
+      << plan->AllDivergences().front();
+}
+
+TEST(ExplainAnalyzeTest, CacheHitBypassesAFullConcurrentJobQuota) {
+  World world(SessionConfig{.num_threads = 2, .max_concurrent_jobs = 1});
+  ASSERT_TRUE(world.session.Inspect(PearsonRequest(2)).ok());
+
+  // Fill the one-job quota with a different request, held in flight.
+  world.extractor.Hold(true);
+  InspectRequest other = PearsonRequest(2);
+  other.measure_names = {"jaccard"};
+  JobHandle blocker = world.session.Submit(other);
+  ASSERT_EQ(world.session.scheduler().stats().snapshot.active_jobs, 1u);
+
+  Result<InspectionPlan> plan = world.session.ExplainAnalyze(PearsonRequest(2));
+  world.extractor.Hold(false);
+  ASSERT_TRUE(blocker.Wait().ok());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string text = plan->ToText();
+  EXPECT_TRUE(Contains(text, "admission: bypassed (served from the result "
+                             "cache)"))
+      << text;
+  EXPECT_TRUE(Contains(text, "cache: hit (memory)")) << text;
+  EXPECT_TRUE(Contains(text, "actual: hit=yes")) << text;
+  EXPECT_TRUE(plan->AllDivergences().empty())
+      << plan->AllDivergences().front();
+}
+
+// ---------------------------------------------------------------------------
+// Plan/run agreement: one scenario table, every planned field checked
+// against what ran.
+// ---------------------------------------------------------------------------
+
+std::string Get(const std::vector<std::pair<std::string, std::string>>& kvs,
+                const std::string& key) {
+  for (const auto& [k, v] : kvs) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+bool StartsWith(const std::string& s, const std::string& prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
+// No divergence, and each planned decision matches its actual: admission
+// vs status, cache vs hit, dedup vs dedup_hits, and — when the engine
+// ran — partition shards vs num_shards and planned vs actual dispatches.
+void ExpectPlanMatchesRun(InspectionPlan plan) {
+  const std::string text = plan.ToText();
+  EXPECT_TRUE(plan.AllDivergences().empty()) << text;
+  PlanNode& root = plan.root;
+  PlanNode* admission = root.Child("admission");
+  PlanNode* cache = root.Child("cache");
+  PlanNode* dedup = root.Child("dedup");
+  PlanNode* partition = root.Child("partition");
+  PlanNode* cluster = root.Child("cluster");
+  ASSERT_TRUE(admission && cache && dedup && partition && cluster) << text;
+
+  const bool ran = Get(root.actuals, "status") == "ok";
+  EXPECT_EQ(StartsWith(Get(admission->fields, ""), "reject"), !ran) << text;
+  const bool hit = StartsWith(Get(cache->fields, ""), "hit");
+  EXPECT_EQ(hit, Get(cache->actuals, "hit") == "yes") << text;
+  const bool waiter =
+      StartsWith(Get(dedup->fields, ""), "attach as waiter");
+  EXPECT_EQ(waiter, Get(dedup->actuals, "dedup_hits") == "1") << text;
+  if (!ran || hit || waiter) return;  // the engine never ran this job
+
+  EXPECT_EQ(Get(partition->fields, "shards"),
+            Get(partition->actuals, "num_shards"))
+      << text;
+  if (StartsWith(Get(cluster->fields, ""), "dispatch")) {
+    size_t planned = 0;
+    for (const PlanNode& child : cluster->children) {
+      if (child.name == "range" || child.name == "assignment") ++planned;
+    }
+    EXPECT_EQ(Get(cluster->actuals, "dispatches"), std::to_string(planned))
+        << text;
+  }
+}
+
+// A coordinator session (2 threads) with `num_workers` live workers.
+struct ClusterWorld {
+  World coord;
+  cluster::ClusterCoordinator coordinator;
+  std::vector<std::unique_ptr<World>> worker_worlds;
+  std::vector<std::unique_ptr<cluster::InspectionWorker>> workers;
+
+  ClusterWorld(const cluster::CoordinatorConfig& config, size_t num_workers)
+      : coordinator(&coord.session, config) {
+    EXPECT_TRUE(coordinator.Start().ok());
+    for (size_t i = 0; i < num_workers; ++i) {
+      worker_worlds.push_back(std::make_unique<World>());
+      workers.push_back(std::make_unique<cluster::InspectionWorker>(
+          &worker_worlds.back()->session,
+          cluster::WorkerConfig{.worker_id = "w-" + std::to_string(i),
+                                .coordinator_port = coordinator.port()}));
+      EXPECT_TRUE(workers.back()->Connect().ok());
+    }
+    EXPECT_TRUE(WaitForWorkers(coordinator, num_workers));
+  }
+  ~ClusterWorld() {
+    for (auto& worker : workers) worker->Shutdown();
+    coordinator.Shutdown();
+  }
+};
+
+TEST(ExplainAnalyzeTest, PlanAgreesWithTheRunInEveryScenario) {
+  cluster::CoordinatorConfig cluster_config;
+  cluster_config.total_shards = 4;
+  cluster::CoordinatorConfig degrading = cluster_config;
+  degrading.degrade_to_local = true;
+
+  using Run = std::function<Result<InspectionPlan>()>;
+  const std::vector<std::pair<std::string, Run>> scenarios = {
+      {"local S = 1",
+       [] { return World().session.ExplainAnalyze(PearsonRequest(1)); }},
+      {"local S = 2",
+       [] { return World().session.ExplainAnalyze(PearsonRequest(2)); }},
+      {"local num_shards = 0 (session pool of 2)",
+       [] { return World().session.ExplainAnalyze(PearsonRequest(0)); }},
+      {"memory cache hit",
+       [] {
+         World world;
+         Result<ResultTable> warm = world.session.Inspect(PearsonRequest(2));
+         if (!warm.ok()) return Result<InspectionPlan>(warm.status());
+         return world.session.ExplainAnalyze(PearsonRequest(2));
+       }},
+      {"dedup waiter",
+       [] {
+         World world;
+         world.extractor.Hold(true);
+         JobHandle leader = world.session.Submit(PearsonRequest(2));
+         // Release the leader once the explained job has attached to it
+         // (or after 5 s, so a wrong role fails instead of hanging).
+         std::thread release([&world] {
+           for (int i = 0; i < 5000 && world.session.scheduler()
+                                               .stats()
+                                               .dedup_followers == 0;
+                ++i) {
+             std::this_thread::sleep_for(std::chrono::milliseconds(1));
+           }
+           world.extractor.Hold(false);
+         });
+         Result<InspectionPlan> plan =
+             world.session.ExplainAnalyze(PearsonRequest(2));
+         release.join();
+         leader.Wait();
+         return plan;
+       }},
+      {"quota reject",
+       [] {
+         World world(
+             SessionConfig{.num_threads = 2, .max_concurrent_jobs = 1});
+         world.extractor.Hold(true);
+         InspectRequest other = PearsonRequest(2);
+         other.measure_names = {"jaccard"};
+         JobHandle blocker = world.session.Submit(other);
+         Result<InspectionPlan> plan =
+             world.session.ExplainAnalyze(PearsonRequest(2));
+         world.extractor.Hold(false);
+         blocker.Wait();
+         return plan;
+       }},
+      {"expired deadline (cached request)",
+       [] {
+         World world;
+         Result<ResultTable> warm = world.session.Inspect(PearsonRequest(2));
+         if (!warm.ok()) return Result<InspectionPlan>(warm.status());
+         return world.session.ExplainAnalyze(
+             WithDeadlinePassed(PearsonRequest(2)));
+       }},
+      {"cluster sliced, num_shards = 0",
+       [&cluster_config] {
+         ClusterWorld world(cluster_config, 2);
+         return world.coord.session.ExplainAnalyze(PearsonRequest(0));
+       }},
+      {"cluster whole job, num_shards = 0",
+       [&cluster_config] {
+         ClusterWorld world(cluster_config, 2);
+         InspectRequest request = PearsonRequest(0);
+         request.measure_names = {"logreg_l1"};  // sequential lane
+         return world.coord.session.ExplainAnalyze(request);
+       }},
+      {"cluster with no live workers, degrade_to_local",
+       [&degrading] {
+         ClusterWorld world(degrading, 0);
+         return world.coord.session.ExplainAnalyze(PearsonRequest(0));
+       }},
+  };
+  for (const auto& [name, run] : scenarios) {
+    SCOPED_TRACE(name);
+    Result<InspectionPlan> plan = run();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ExpectPlanMatchesRun(*plan);
+  }
 }
 
 // ---------------------------------------------------------------------------
